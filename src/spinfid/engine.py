@@ -9,23 +9,27 @@ grid.  The trace holds the ensemble means and the modulus is taken after
 averaging: mperp = sqrt(mx^2 + my^2), which decays through ensemble
 dephasing even though every single realization keeps its amplitude.
 
-Two exact evaluation paths:
-
-* secular Hamiltonian: it is diagonal and commutes with the common-mode
-  noise term, and the observable carries only single-quantum coherences,
-  so every realization's signal is the zero-noise signal times
-  exp(i eta_r t); the ensemble mean costs one phase average.
-* isotropic Hamiltonian: one Hermitian eigendecomposition per
-  realization (batched), with all grid times obtained by phase
-  reweighting of the eigencomponents.
+One exact evaluation path serves both Hamiltonian kinds.  The secular
+and the isotropic rotating-frame Hamiltonians both conserve total I_z,
+and the noise enters as eta_r * sum_i I_iz, so exp(-i H t) factors into
+exp(-i H0 t) exp(-i eta_r t sum_i I_iz).  The recorded observable
+O = sum (I_x + i I_y) is single-quantum, [sum_i I_iz, O] = O, so the
+noise rotation reduces to a global phase and every realization's signal
+is D(t) exp(i eta_r t).  D(t) = sum_jk A_jk exp(-i w_jk t) comes from one
+eigendecomposition of H0 = H(eta = 0), and the ensemble mean is D(t)
+times the empirical characteristic function chi(t) = mean_r exp(i eta_r t)
+(Anderson, JPSJ 9, 316 (1954); Kubo, JPSJ 9, 935 (1954)).  Both
+assumptions are checked on every call: ||[H0, sum_i I_iz]|| must vanish
+relative to ||H0|| and [sum_i I_iz, O] must equal O, else evolve_fid
+raises ValueError instead of returning a wrong answer.
 
 Determinism: realizations are split into fixed-size chunks whose
-boundaries depend only on the problem shape, each chunk is reduced with
-numpy's deterministic summation, and chunk partials are combined in
-chunk order.  Worker threads only decide who computes a chunk, so
-results are bit-identical for any worker count.  The worker count comes
-from the ``workers`` argument, else the SPINFID_WORKERS environment
-variable, else the CPU count.
+boundaries depend only on the realization count and the grid length,
+each chunk is reduced with numpy's deterministic summation, and chunk
+partials are combined in chunk order.  Worker threads only decide who
+computes a chunk, so results are bit-identical for any worker count.
+The worker count comes from the ``workers`` argument, else the
+SPINFID_WORKERS environment variable, else the CPU count.
 """
 
 from __future__ import annotations
@@ -61,6 +65,9 @@ _CHUNK_CELLS = 4_000_000
 # Refuse ensembles whose realization x grid-point product exceeds this.
 _MAX_WORK_CELLS = 20_000_000_000
 
+# Relative tolerance of the run-time checks behind the D(t) chi(t) factorisation.
+_FACTORISATION_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -89,8 +96,8 @@ class ObservableSpec:
     """Which transverse magnetization is recorded.
 
     kind 'single' records I_x, I_y of spin ``index``; kind 'total' sums
-    over all spins.  Both are single-quantum, which the secular fast
-    path relies on.
+    over all spins.  Both are single-quantum, which the D(t) chi(t)
+    factorisation relies on.
     """
 
     kind: str = "single"
@@ -193,10 +200,9 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _chunk_bounds(n_realizations: int, n_points: int, dim: int) -> list[tuple[int, int]]:
+def _chunk_bounds(n_realizations: int, n_points: int) -> list[tuple[int, int]]:
     """Fixed chunk boundaries; a function of the problem shape only."""
-    per_realization = max(n_points * dim * dim, 1)
-    size = max(1, _CHUNK_CELLS // per_realization)
+    size = max(1, _CHUNK_CELLS // n_points)
     return [(lo, min(lo + size, n_realizations)) for lo in range(0, n_realizations, size)]
 
 
@@ -215,6 +221,35 @@ def _resolve_hamiltonian(spec: SpinSystemSpec, hamiltonian: str | None) -> str:
     return hamiltonian
 
 
+def _require_factorisation(h0: np.ndarray, obs: np.ndarray, n_spins: int) -> None:
+    """Raise unless [H0, sum_i I_iz] = 0 and [sum_i I_iz, O] = O (see the module docstring)."""
+    z_total = sum(0.5 * embed(pauli("z"), s, n_spins) for s in range(n_spins))
+    commutator = float(np.linalg.norm(h0 @ z_total - z_total @ h0))
+    if commutator > _FACTORISATION_TOL * max(1.0, float(np.linalg.norm(h0))):
+        raise ValueError(
+            f"Hamiltonian does not conserve total I_z (||[H0, Iz]|| = {commutator:.3g}); "
+            "the ensemble average does not factorise as D(t) chi(t)"
+        )
+    coherence = float(np.linalg.norm(z_total @ obs - obs @ z_total - obs))
+    if coherence > _FACTORISATION_TOL * max(1.0, float(np.linalg.norm(obs))):
+        raise ValueError(
+            f"observable is not single-quantum (||[Iz, O] - O|| = {coherence:.3g}); "
+            "the ensemble average does not factorise as D(t) chi(t)"
+        )
+
+
+def _zero_noise_signal(h0: np.ndarray, rho: np.ndarray, obs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """D(t) = Tr(exp(-i H0 t) rho exp(i H0 t) O) = sum_jk A_jk exp(-i w_jk t) in H0's eigenbasis."""
+    vals, vecs = np.linalg.eigh(h0)
+    vecs_h = vecs.conj().T
+    amplitudes = (vecs_h @ rho @ vecs) * (vecs_h @ obs @ vecs).T  # A_jk = rho_jk * O_kj
+    omega = vals[:, None] - vals[None, :]
+    mask = np.abs(amplitudes) > 0.0
+    a = amplitudes[mask]
+    w = omega[mask]
+    return (a[:, None] * np.exp(-1j * np.outer(w, t))).sum(axis=0)
+
+
 def evolve_fid(
     spec: SpinSystemSpec,
     initial: DensityMatrix,
@@ -226,7 +261,12 @@ def evolve_fid(
     hamiltonian: str | None = None,
     workers: int | None = None,
 ) -> FidTrace:
-    """Ensemble-averaged FID of ``initial`` under the chosen Hamiltonian."""
+    """Ensemble-averaged FID of ``initial`` under the chosen Hamiltonian.
+
+    Raises ValueError if the Hamiltonian does not conserve total I_z or
+    the observable is not single-quantum, since the D(t) chi(t)
+    factorisation would then give a wrong answer.
+    """
     if initial.dim != spec.dim:
         raise ValueError(f"state dimension {initial.dim} does not match spec dimension {spec.dim}")
     if n_realizations < 1:
@@ -239,14 +279,19 @@ def evolve_fid(
     kind = _resolve_hamiltonian(spec, hamiltonian)
     observable = observable if observable is not None else ObservableSpec.single(spec.n_spins - 1)
     obs = observable.ladder_matrix(spec.n_spins)
+    build = build_effective if kind == "effective" else build_rotating_heisenberg
+    h0 = build(spec, eta_z=0.0)
+    _require_factorisation(h0, obs, spec.n_spins)
     t = grid.points
     workers = _resolve_workers(workers)
-    bounds = _chunk_bounds(n_realizations, grid.n_points, spec.dim if kind == "heisenberg" else 1)
+    deterministic = _zero_noise_signal(h0, initial.matrix, obs, t)
 
-    if kind == "effective":
-        signal = _mean_signal_secular(spec, initial, noise, obs, t, bounds, seed, workers)
-    else:
-        signal = _mean_signal_dense(spec, initial, noise, obs, t, bounds, seed, workers)
+    def chunk_sum(lo: int, hi: int) -> np.ndarray:
+        etas = noise.sample_block(seed, lo, hi - lo)
+        return np.exp(1j * np.outer(etas, t)).sum(axis=0)
+
+    partials = _map_chunks(chunk_sum, _chunk_bounds(n_realizations, grid.n_points), workers)
+    signal = deterministic * np.sum(np.stack(partials), axis=0)
     signal /= n_realizations
 
     return FidTrace.from_components(
@@ -257,76 +302,6 @@ def evolve_fid(
         seed=seed,
         polarization=spec.polarization,
     )
-
-
-def _mean_signal_secular(
-    spec: SpinSystemSpec,
-    initial: DensityMatrix,
-    noise: NoiseModel,
-    obs: np.ndarray,
-    t: np.ndarray,
-    bounds: list[tuple[int, int]],
-    seed: int,
-    workers: int,
-) -> np.ndarray:
-    """Sum over realizations of the signal under the diagonal Hamiltonian.
-
-    With H diagonal and the noise a common shift of all I_iz, a
-    single-quantum observable picks up the offset as one global phase:
-    s_r(t) = D(t) exp(i eta_r t) where D is the zero-noise signal.
-    """
-    h0 = build_effective(spec, eta_z=0.0)
-    energies = np.diag(h0).real
-    amplitudes = initial.matrix * obs.T  # A_jk = rho_jk * O_kj
-    omega = energies[:, None] - energies[None, :]
-    mask = np.abs(amplitudes) > 0.0
-    a = amplitudes[mask]
-    w = omega[mask]
-    deterministic = (a[:, None] * np.exp(-1j * np.outer(w, t))).sum(axis=0)
-
-    def chunk_sum(lo: int, hi: int) -> np.ndarray:
-        etas = noise.sample_block(seed, lo, hi - lo)
-        return np.exp(1j * np.outer(etas, t)).sum(axis=0)
-
-    partials = _map_chunks(chunk_sum, bounds, workers)
-    phase_sum = np.sum(np.stack(partials), axis=0)
-    return deterministic * phase_sum
-
-
-def _mean_signal_dense(
-    spec: SpinSystemSpec,
-    initial: DensityMatrix,
-    noise: NoiseModel,
-    obs: np.ndarray,
-    t: np.ndarray,
-    bounds: list[tuple[int, int]],
-    seed: int,
-    workers: int,
-) -> np.ndarray:
-    """Sum over realizations under the full isotropic Hamiltonian.
-
-    Each realization is evolved exactly through one eigendecomposition;
-    the eigendecompositions of a chunk are batched.
-    """
-    h0 = build_rotating_heisenberg(spec, eta_z=0.0)
-    z_total = sum(0.5 * embed(pauli("z"), s, spec.n_spins) for s in range(spec.n_spins))
-    rho0 = initial.matrix
-    dim = spec.dim
-
-    def chunk_sum(lo: int, hi: int) -> np.ndarray:
-        etas = noise.sample_block(seed, lo, hi - lo)
-        h = h0[None, :, :] + etas[:, None, None] * z_total[None, :, :]
-        vals, vecs = np.linalg.eigh(h)
-        vecs_h = vecs.conj().transpose(0, 2, 1)
-        rho_eig = vecs_h @ rho0 @ vecs
-        obs_eig = vecs_h @ obs @ vecs
-        amp = (rho_eig * obs_eig.transpose(0, 2, 1)).reshape(len(etas), dim * dim)
-        omega = (vals[:, :, None] - vals[:, None, :]).reshape(len(etas), dim * dim)
-        phases = np.exp(-1j * omega[:, :, None] * t[None, None, :])
-        return np.einsum("ca,cat->t", amp, phases)
-
-    partials = _map_chunks(chunk_sum, bounds, workers)
-    return np.sum(np.stack(partials), axis=0)
 
 
 def residual_ratio(trace: FidTrace, baseline: FidTrace) -> float:

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = ["NOISE_KINDS", "NoiseModel"]
 
@@ -87,6 +86,9 @@ class NoiseModel:
         if self.kind == "white":
             return w * (2.0 * u - 1.0)
         if self.kind == "gaussian":
+            # Imported here: scipy.special costs ~0.3 s, and only this branch needs it.
+            from scipy.special import ndtri
+
             return w * ndtri(u)
         return w * np.tan(np.pi * (u - 0.5))  # lorentzian quantile
 

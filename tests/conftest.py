@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from spinfid import NoiseModel, SpinSystemSpec, TimeGrid
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 # Rows of (number, title, passed, detail) appended by tests/test_acceptance.py.
 ACCEPTANCE_REPORT: list[tuple[int, str, bool, str]] = []
@@ -17,6 +22,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for number, title, passed, detail in sorted(ACCEPTANCE_REPORT):
         verdict = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"criterion {number} [{verdict}] {title} — {detail}")
+
+
+def subprocess_env() -> dict[str, str]:
+    """Environment for a ``python -m spinfid`` child run from any directory.
+
+    Puts this checkout's absolute ``src/`` first on PYTHONPATH, so the
+    child imports the code under test even when its working directory is
+    elsewhere and the package is not installed.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC_DIR), env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import ACCEPTANCE_REPORT
+from conftest import ACCEPTANCE_REPORT, subprocess_env
 
 from spinfid import (
     NoiseModel,
@@ -260,7 +260,7 @@ def test_7_worker_count_never_changes_emitted_rows(tmp_path):
                 sys.executable, "-m", "spinfid", "preset", "fig2-pps",
                 "--output", str(out), "--workers", str(workers),
             ],
-            capture_output=True, text=True, cwd=tmp_path, timeout=300,
+            capture_output=True, text=True, cwd=tmp_path, env=subprocess_env(), timeout=300,
         )
         assert result.returncode == 0, result.stderr
         outputs.append(out.read_bytes())

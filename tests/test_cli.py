@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import subprocess_env
+
 from spinfid.csvio import load_csv
 
 SMALL_INI = """\
@@ -33,6 +35,7 @@ def run_cli(*args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=subprocess_env(),
         timeout=300,
     )
 

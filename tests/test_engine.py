@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinfid.engine
 from spinfid import (
     DensityMatrix,
     FidTrace,
@@ -173,6 +174,69 @@ class TestPerDrawExactness:
         assert np.max(np.abs(trace.mx - mx)) < 1e-12
         assert np.max(np.abs(trace.my - my)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "pulse",
+        [PulseSpec(target=2), PulseSpec(target=2, axis="x", angle=0.7)],
+        ids=["y-pi/2", "x-0.7"],
+    )
+    def test_noisy_heisenberg_matches_per_draw_step_propagation(self, pulse):
+        # brute-force oracle for the D(t) chi(t) factorisation: every draw
+        # evolves under its own H(eta_r) by step propagators, then average
+        spec = SpinSystemSpec(polarization=-1.0, magnification=5.0)
+        grid = TimeGrid(t_max=0.006, n_points=61)
+        model = NoiseModel("lorentzian", 28.0)
+        initial = apply_pulse(thermal_state(spec), pulse)
+        n, seed = 3, 19
+        trace = evolve_fid(
+            spec, initial, model, grid, n_realizations=n, seed=seed,
+            hamiltonian="heisenberg",
+        )
+        ladder = ObservableSpec.single(2).ladder_matrix(3)
+        want = np.zeros(grid.n_points, dtype=complex)
+        for eta in model.sample_block(seed, 0, n):
+            assert eta != 0.0
+            u = expm_hermitian(build_rotating_heisenberg(spec, eta_z=float(eta)), grid.dt)
+            rho = initial
+            for k in range(grid.n_points):
+                if k:
+                    rho = u.evolve(rho)
+                want[k] += np.trace(rho.matrix @ ladder)
+        want /= n
+        assert np.max(np.abs(trace.mx - want.real)) < 1e-11
+        assert np.max(np.abs(trace.my - want.imag)) < 1e-11
+
+
+class TestFactorisationGuard:
+    """evolve_fid refuses inputs for which D(t) chi(t) would be wrong."""
+
+    def test_transverse_term_in_hamiltonian_raises(self, monkeypatch, default_grid):
+        spec = SpinSystemSpec(polarization=1.0)
+        original = spinfid.engine.build_rotating_heisenberg
+        i_x = 0.5 * embed(pauli("x"), 0, spec.n_spins)
+
+        def with_transverse_field(spec, eta_z=0.0):
+            return original(spec, eta_z) + TWO_PI * 50.0 * i_x
+
+        monkeypatch.setattr(spinfid.engine, "build_rotating_heisenberg", with_transverse_field)
+        with pytest.raises(ValueError, match="conserve total I_z"):
+            evolve_fid(spec, pulsed_pps(spec), NoiseModel("lorentzian", 28.0), default_grid,
+                       n_realizations=4, hamiltonian="heisenberg")
+
+    @pytest.mark.parametrize("kind", ["effective", "heisenberg"])
+    @pytest.mark.parametrize("operator", ["hermitian-x", "lowering"])
+    def test_observable_that_is_not_single_quantum_raises(self, kind, operator, default_grid):
+        raising = ObservableSpec.single(2).ladder_matrix(3)
+        matrix = {"hermitian-x": 0.5 * (raising + raising.conj().T), "lowering": raising.conj().T}
+
+        class BadObservable(ObservableSpec):
+            def ladder_matrix(self, n_spins: int) -> np.ndarray:
+                return matrix[operator]
+
+        spec = SpinSystemSpec(polarization=1.0)
+        with pytest.raises(ValueError, match="single-quantum"):
+            evolve_fid(spec, pulsed_pps(spec), NoiseModel("lorentzian", 28.0), default_grid,
+                       observable=BadObservable(), n_realizations=4, hamiltonian=kind)
+
 
 class TestConservation:
     def test_total_z_constant_under_exchange_coupling(self):
@@ -201,6 +265,19 @@ class TestDeterminism:
         for other in runs[1:]:
             assert np.array_equal(runs[0].mx, other.mx)
             assert np.array_equal(runs[0].my, other.my)
+
+    def test_heisenberg_worker_count_invariance_across_chunks(self):
+        spec = SpinSystemSpec(polarization=-1.0, magnification=5.0)
+        grid = TimeGrid(t_max=0.024, n_points=2001)
+        n = 4_500
+        assert len(spinfid.engine._chunk_bounds(n, grid.n_points)) >= 2
+        runs = [
+            evolve_fid(spec, pulsed_thermal(spec), NoiseModel("lorentzian", 28.0), grid,
+                       n_realizations=n, seed=13, hamiltonian="heisenberg", workers=w)
+            for w in (1, 3)
+        ]
+        assert np.array_equal(runs[0].mx, runs[1].mx)
+        assert np.array_equal(runs[0].my, runs[1].my)
 
     def test_same_seed_same_trace(self, pps_system, default_grid):
         model = NoiseModel("gaussian", 28.0)
