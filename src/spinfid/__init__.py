@@ -27,7 +27,6 @@ from .analytic import (
     PerturbationCoeffs,
     envelope_factor,
     fid_perturbative,
-    fid_perturbative_single,
     fid_pps,
     fid_pps_single,
     fid_single,
@@ -74,7 +73,6 @@ from .operators import (
     expectation,
     expm_hermitian,
     pauli,
-    spin_half,
 )
 from .states import PulseSpec, apply_pulse, parse_label, pps_state, thermal_state
 from .validate import CheckResult, run_validation
@@ -116,7 +114,6 @@ __all__ = [
     "expectation",
     "expm_hermitian",
     "fid_perturbative",
-    "fid_perturbative_single",
     "fid_pps",
     "fid_pps_single",
     "fid_single",
@@ -137,7 +134,6 @@ __all__ = [
     "run_preset",
     "run_validation",
     "serialize_config",
-    "spin_half",
     "sweep_residuals",
     "thermal_state",
     "trapezoid_weights",

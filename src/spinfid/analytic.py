@@ -9,10 +9,11 @@ starts along -x after the y pi/2 pulse, flipping the overall sign.
 
 Static common-mode noise multiplies every realization's signal by
 exp(i eta t); averaging therefore factors into the deterministic
-coherence times (avg_cos + i avg_sin) of the noise model.  Each ensemble
-formula has a ``*_single`` companion evaluated at one fixed offset,
-which the engine must reproduce to numerical precision under the
-secular (diagonal) Hamiltonian.
+signal times the noise model's ``avg_cos``, which is the whole mean of
+exp(i eta t) because every supported distribution is symmetric.  The
+thermal and pseudo-pure formulas have ``*_single`` companions evaluated
+at one fixed offset, which the engine must reproduce to numerical
+precision under the secular (diagonal) Hamiltonian.
 
 The perturbative three-branch formula treats the flip-flop part of the
 isotropic coupling as a first-order perturbation on the secular
@@ -34,6 +35,7 @@ import numpy as np
 
 from .hamiltonians import SpinSystemSpec
 from .noise import NoiseModel
+from .states import parse_label
 
 __all__ = [
     "fid_single",
@@ -44,7 +46,6 @@ __all__ = [
     "PerturbationCoeffs",
     "perturbation_coeffs",
     "fid_perturbative",
-    "fid_perturbative_single",
     "envelope_factor",
     "residual_ratio_analytic",
     "trapezoid_weights",
@@ -59,25 +60,14 @@ def _components(s: np.ndarray) -> Fid:
     return mx, my, np.hypot(mx, my)
 
 
-def _coherence(model: NoiseModel, t: np.ndarray) -> np.ndarray:
-    """Ensemble mean of exp(i eta t) = avg_cos + i avg_sin."""
-    return model.avg_cos(t) + 1j * model.avg_sin(t)
-
-
 def fid_single(model: NoiseModel, polarization: float, t: np.ndarray | float) -> Fid:
     """Mean FID of one uncoupled on-resonance spin after a y pi/2 pulse.
 
-    mx = (p/2) avg_cos, my = (p/2) avg_sin, and the transverse modulus
-    (p/2) sqrt(avg_cos^2 + avg_sin^2) decays with the envelope alone.
+    mx = (p/2) avg_cos and my = 0, so the transverse modulus decays with
+    the envelope alone.
     """
     t = np.asarray(t, dtype=float)
-    return _components(0.5 * polarization * _coherence(model, t))
-
-
-def _label_signs(label: str, n_spins: int) -> list[int]:
-    if len(label) != n_spins or any(c not in "01" for c in label):
-        raise ValueError(f"label must be {n_spins} characters of 0/1, got {label!r}")
-    return [1 if c == "0" else -1 for c in label]
+    return _components(0.5 * polarization * model.avg_cos(t))
 
 
 def _coupling_cosines(spec: SpinSystemSpec, observed: int, t: np.ndarray) -> np.ndarray:
@@ -130,7 +120,7 @@ def fid_thermal(
         * spec.polarization
         * _coupling_cosines(spec, observed, t)
         * np.exp(1j * delta_rad * t)
-        * _coherence(model, t)
+        * model.avg_cos(t)
     )
     return _components(s)
 
@@ -143,7 +133,8 @@ def _pps_phase_rate(spec: SpinSystemSpec, label: str, observed: int) -> tuple[fl
     of its couplings; a label bit 1 on the observed spin flips the
     initial transverse direction.
     """
-    signs = _label_signs(label, spec.n_spins)
+    parse_label(label, spec.n_spins)
+    signs = [1 if c == "0" else -1 for c in label]
     rate = spec.scale * spec.delta[observed]
     for i in range(spec.n_spins):
         if i == observed:
@@ -176,15 +167,14 @@ def fid_pps(
 ) -> Fid:
     """Noise-averaged pseudo-pure FID under the secular Hamiltonian.
 
-    The transverse modulus (|p|/2) sqrt(avg_cos^2 + avg_sin^2) is
-    independent of every coupling: the label pins the spectator spins,
-    so couplings only shift the single coherence frequency, which the
-    modulus ignores.
+    The transverse modulus (|p|/2) |avg_cos| is independent of every
+    coupling: the label pins the spectator spins, so couplings only
+    shift the single coherence frequency, which the modulus ignores.
     """
     _check_observed(spec, observed)
     t = np.asarray(t, dtype=float)
     rate, sign = _pps_phase_rate(spec, label, observed)
-    s = sign * 0.5 * spec.polarization * np.exp(1j * rate * t) * _coherence(model, t)
+    s = sign * 0.5 * spec.polarization * np.exp(1j * rate * t) * model.avg_cos(t)
     return _components(s)
 
 
@@ -243,28 +233,6 @@ def _perturbative_branches(spec: SpinSystemSpec) -> tuple[np.ndarray, np.ndarray
     return rates, weights
 
 
-def fid_perturbative_single(
-    spec: SpinSystemSpec, eta_z: float, t: np.ndarray | float
-) -> Fid:
-    """First-order isotropic-coupling FID at one fixed offset, |101> start.
-
-    Models the TOTAL transverse signal (sum of every spin's raising
-    operator): the flip-flop terms move a little coherence onto the
-    spectator spins, and only a total readout sees those branches beat
-    against the main line at first order -- a single-spin readout stays
-    flat to second order.  Three coherence branches with weights
-    (1 - l1 - l2, l1, l2); the modulus is the true modulus of the branch
-    sum, exact to first order in the mixing coefficients.
-    """
-    t = np.asarray(t, dtype=float)
-    rates, weights = _perturbative_branches(spec)
-    s = np.zeros(t.shape, dtype=complex)
-    for rate, weight in zip(rates, weights):
-        s = s + weight * np.exp(1j * (rate + eta_z) * t)
-    s = -0.5 * spec.polarization * s
-    return _components(s)
-
-
 def envelope_factor(spec: SpinSystemSpec, t: np.ndarray | float) -> np.ndarray:
     """Linearized modulus factor F(t) of the three-branch expansion.
 
@@ -293,18 +261,18 @@ def fid_perturbative(spec: SpinSystemSpec, model: NoiseModel, t: np.ndarray | fl
     Every branch is a single-quantum coherence, so the random offset
     contributes one common phase that factors through the model's
     coherence function; the modulus is then exactly
-    (|p|/2) |branch sum| sqrt(avg_cos^2 + avg_sin^2).  The coherent
-    branch sum keeps the coupling corrections inside the beat
-    frequencies, unlike the linearized :func:`envelope_factor`, which is
-    why its residual against the full evolution is second order in the
-    mixing coefficients.
+    (|p|/2) |branch sum| |avg_cos|.  The coherent branch sum keeps the
+    coupling corrections inside the beat frequencies, unlike the
+    linearized :func:`envelope_factor`, which is why its residual
+    against the full evolution is second order in the mixing
+    coefficients.
     """
     t = np.asarray(t, dtype=float)
     rates, weights = _perturbative_branches(spec)
     branch_sum = np.zeros(t.shape, dtype=complex)
     for rate, weight in zip(rates, weights):
         branch_sum = branch_sum + weight * np.exp(1j * rate * t)
-    s = -0.5 * spec.polarization * branch_sum * _coherence(model, t)
+    s = -0.5 * spec.polarization * branch_sum * model.avg_cos(t)
     return _components(s)
 
 
@@ -333,7 +301,7 @@ def residual_ratio_analytic(
     """
     t = np.asarray(t, dtype=float)
     w = trapezoid_weights(t)
-    a_0 = 0.5 * abs(spec.polarization) * np.hypot(model.avg_cos(t), model.avg_sin(t))
+    a_0 = 0.5 * abs(spec.polarization) * np.abs(model.avg_cos(t))
     a_m = fid_perturbative(spec, model, t)[2]
     denominator = float(np.sum(w * a_0))
     if denominator <= 0.0:

@@ -76,6 +76,9 @@ _KNOWN_KEYS = {
     "run": ("hamiltonian", "observable", "output"),
 }
 
+# [system] coupling_form only sets the default of [run] hamiltonian.
+_COUPLING_FORMS = {"ising": "effective", "heisenberg": "heisenberg"}
+
 # Every config document must declare these sections; [run] stays optional.
 _REQUIRED_SECTIONS = ("system", "noise", "state", "grid", "ensemble")
 
@@ -230,9 +233,11 @@ def parse_config(text: str) -> RunConfig:
             polarization=polarization,
             magnification=_parse_float("system", "magnification", get("system", "magnification") or "1"),
             omega0=_parse_float("system", "omega0", get("system", "omega0") or "0"),
-            coupling_form=(get("system", "coupling_form") or "ising").strip().lower(),
             angular_units=angular,
         )
+        coupling_form = (get("system", "coupling_form") or "ising").strip().lower()
+        if coupling_form not in _COUPLING_FORMS:
+            raise ConfigError(f"[system] coupling_form must be one of {tuple(_COUPLING_FORMS)}, got {coupling_form!r}")
         noise_kind = (get("noise", "kind") or "lorentzian").strip().lower()
         if noise_kind not in NOISE_KINDS:
             raise ConfigError(f"[noise] kind must be one of {NOISE_KINDS}, got {noise_kind!r}")
@@ -251,11 +256,7 @@ def parse_config(text: str) -> RunConfig:
             n_points=_parse_int("grid", "n_points", get("grid", "n_points") or "481"),
         )
         hamiltonian_raw = get("run", "hamiltonian")
-        hamiltonian = (
-            hamiltonian_raw.strip().lower()
-            if hamiltonian_raw
-            else ("effective" if system.coupling_form == "ising" else "heisenberg")
-        )
+        hamiltonian = hamiltonian_raw.strip().lower() if hamiltonian_raw else _COUPLING_FORMS[coupling_form]
         observable_raw = get("run", "observable")
         observable = (
             _parse_observable(observable_raw)
@@ -313,7 +314,6 @@ def serialize_config(config: RunConfig) -> str:
         f"polarization = {_format_float(system.polarization)}",
         f"magnification = {_format_float(system.magnification)}",
         f"omega0 = {_format_float(system.omega0)}",
-        f"coupling_form = {system.coupling_form}",
         f"angular_units = {'true' if system.angular_units else 'false'}",
         "",
         "[noise]",

@@ -99,10 +99,11 @@ def emit_trace_csv(
 
 @dataclass(frozen=True)
 class TableData:
-    """Parsed CSV: named columns, metadata, and optional trace rebuild."""
+    """Parsed CSV: named columns, metadata, source path, and optional trace rebuild."""
 
     columns: dict[str, np.ndarray]
     metadata: dict[str, str] = field(default_factory=dict)
+    path: str = "<table>"
 
     @property
     def oracles(self) -> dict[str, np.ndarray]:
@@ -129,15 +130,14 @@ class TableData:
         mx, my, mperp = self.columns["mx"], self.columns["my"], self.columns["mperp"]
         if not np.allclose(mperp, np.hypot(mx, my), rtol=0.0, atol=1e-12):
             raise CsvFormatError("mperp column does not match hypot(mx, my)")
-        return FidTrace(
-            grid=grid,
-            mx=mx,
-            my=my,
-            mperp=mperp,
-            n_realizations=int(self.metadata.get("n_realizations", "0") or 0),
-            seed=int(self.metadata.get("seed", "0") or 0),
-            polarization=float(self.metadata.get("polarization", "1.0")),
-        )
+        numbers: dict[str, int | float] = {}
+        for key, parse, default in (("n_realizations", int, 0), ("seed", int, 0), ("polarization", float, 1.0)):
+            raw = self.metadata.get(key, "")
+            try:
+                numbers[key] = parse(raw) if raw else default
+            except ValueError:
+                raise CsvFormatError(f"{self.path}: metadata {key!r} is not a number: {raw!r}") from None
+        return FidTrace(grid=grid, mx=mx, my=my, mperp=mperp, **numbers)
 
 
 def load_csv(path: str) -> TableData:
@@ -174,4 +174,4 @@ def load_csv(path: str) -> TableData:
             raise CsvFormatError(f"{path}:{lineno}: non-numeric field") from None
     table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     columns = {name: np.ascontiguousarray(table[:, k]) for k, name in enumerate(header)}
-    return TableData(columns=columns, metadata=metadata)
+    return TableData(columns=columns, metadata=metadata, path=path)

@@ -151,7 +151,8 @@ class FidTrace:
 
     def __post_init__(self) -> None:
         for name in ("mx", "my", "mperp"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
+            # A private copy: freezing the caller's array would make it read-only.
+            arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != (self.grid.n_points,):
                 raise ValueError(f"{name} must have shape ({self.grid.n_points},), got {arr.shape}")
             arr.setflags(write=False)
@@ -213,14 +214,6 @@ def _map_chunks(fn, bounds: list[tuple[int, int]], workers: int) -> list[np.ndar
         return list(pool.map(lambda b: fn(*b), bounds))
 
 
-def _resolve_hamiltonian(spec: SpinSystemSpec, hamiltonian: str | None) -> str:
-    if hamiltonian is None:
-        hamiltonian = "effective" if spec.coupling_form == "ising" else "heisenberg"
-    if hamiltonian not in HAMILTONIAN_KINDS:
-        raise ValueError(f"hamiltonian must be one of {HAMILTONIAN_KINDS}, got {hamiltonian!r}")
-    return hamiltonian
-
-
 def _require_factorisation(h0: np.ndarray, obs: np.ndarray, n_spins: int) -> None:
     """Raise unless [H0, sum_i I_iz] = 0 and [sum_i I_iz, O] = O (see the module docstring)."""
     z_total = sum(0.5 * embed(pauli("z"), s, n_spins) for s in range(n_spins))
@@ -258,7 +251,7 @@ def evolve_fid(
     observable: ObservableSpec | None = None,
     n_realizations: int = 100_000,
     seed: int = 101,
-    hamiltonian: str | None = None,
+    hamiltonian: str = "effective",
     workers: int | None = None,
 ) -> FidTrace:
     """Ensemble-averaged FID of ``initial`` under the chosen Hamiltonian.
@@ -276,10 +269,11 @@ def evolve_fid(
             f"requested {n_realizations} realizations x {grid.n_points} grid points "
             f"exceeds the work limit of {_MAX_WORK_CELLS} cells"
         )
-    kind = _resolve_hamiltonian(spec, hamiltonian)
+    if hamiltonian not in HAMILTONIAN_KINDS:
+        raise ValueError(f"hamiltonian must be one of {HAMILTONIAN_KINDS}, got {hamiltonian!r}")
     observable = observable if observable is not None else ObservableSpec.single(spec.n_spins - 1)
     obs = observable.ladder_matrix(spec.n_spins)
-    build = build_effective if kind == "effective" else build_rotating_heisenberg
+    build = build_effective if hamiltonian == "effective" else build_rotating_heisenberg
     h0 = build(spec, eta_z=0.0)
     _require_factorisation(h0, obs, spec.n_spins)
     t = grid.points
@@ -296,8 +290,8 @@ def evolve_fid(
 
     return FidTrace.from_components(
         grid=grid,
-        mx=signal.real.copy(),
-        my=signal.imag.copy(),
+        mx=signal.real,
+        my=signal.imag,
         n_realizations=n_realizations,
         seed=seed,
         polarization=spec.polarization,

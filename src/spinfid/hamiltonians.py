@@ -7,16 +7,18 @@ conversion for sensitivity studies.
 
 Three builders are provided:
 
-* ``build_lab``: full lab-frame Hamiltonian with the common carrier
-  frequency omega0 and isotropic exchange couplings.
 * ``build_effective``: rotating-frame secular (weak-coupling) form with
   purely longitudinal Ising couplings; diagonal in the computational
-  basis.
+  basis.  The engine uses it for ``hamiltonian = "effective"``.
 * ``build_rotating_heisenberg``: rotating-frame form that keeps the full
   isotropic coupling, i.e. the effective form plus the transverse
-  flip-flop terms.  The dimensionless ``magnification`` scales every
-  coupling in both rotating-frame builders, so the flip-flop part can be
-  dialed from negligible to dominant while offsets stay fixed.
+  flip-flop terms; the engine uses it for ``hamiltonian = "heisenberg"``.
+  The dimensionless ``magnification`` scales every coupling in both
+  rotating-frame builders, so the flip-flop part can be dialed from
+  negligible to dominant while offsets stay fixed.
+* ``build_lab``: full lab-frame Hamiltonian with the common carrier
+  frequency omega0 and isotropic exchange couplings.  No run evolves
+  under it; only the validation battery builds it.
 
 The static noise offset eta_z (rad/s) enters every builder as a common
 shift of all spins' longitudinal frequencies.
@@ -63,7 +65,6 @@ class SpinSystemSpec:
     polarization: float = -1.0
     magnification: float = 1.0
     omega0: float = 0.0
-    coupling_form: str = "ising"
     angular_units: bool = False
 
     def __post_init__(self) -> None:
@@ -80,8 +81,6 @@ class SpinSystemSpec:
             raise ValueError(f"magnification must be finite and >= 0, got {self.magnification!r}")
         if abs(self.polarization) > 1.0:
             raise ValueError(f"|polarization| must not exceed 1, got {self.polarization!r}")
-        if self.coupling_form not in ("ising", "heisenberg"):
-            raise ValueError(f"coupling_form must be 'ising' or 'heisenberg', got {self.coupling_form!r}")
 
     @property
     def dim(self) -> int:
@@ -111,23 +110,6 @@ class SpinSystemSpec:
             if (a, b) == (i, j):
                 return val
         raise ValueError(f"pair ({i}, {j}) out of range")
-
-    @property
-    def weak_coupling(self) -> bool:
-        """True when every offset difference dwarfs every scaled coupling.
-
-        Criterion: min_{i<j} |delta_i - delta_j| > 10 * max |m * J_ij|.
-        Vacuously true for a single spin.
-        """
-        if self.n_spins < 2:
-            return True
-        gaps = [
-            abs(self.delta[i] - self.delta[j])
-            for i in range(self.n_spins)
-            for j in range(i + 1, self.n_spins)
-        ]
-        strongest = max(abs(self.magnification * val) for _, _, val in self.pairs())
-        return min(gaps) > 10.0 * strongest
 
 
 def _iz_ops(n: int) -> list[np.ndarray]:

@@ -14,7 +14,9 @@ gaussian    normal, std sigma              exp(-(sigma t)^2 / 2)
 lorentzian  (gamma/pi) / (eta^2+gamma^2)   exp(-gamma |t|)
 ==========  =============================  ==========================
 
-The mean of sin(eta t) vanishes for every kind by symmetry.
+The mean of sin(eta t) vanishes for every kind by symmetry, so
+``avg_cos`` alone is the characteristic function <exp(i eta t)> that
+multiplies the zero-noise signal.
 
 Sampling is counter based and therefore a pure function of
 ``(seed, index)``: realization ``index`` owns the Philox block ``index``
@@ -108,7 +110,3 @@ class NoiseModel:
         if self.kind == "gaussian":
             return np.exp(-0.5 * (w * t) ** 2)
         return np.exp(-w * np.abs(t))
-
-    def avg_sin(self, t: np.ndarray | float) -> np.ndarray:
-        """Ensemble mean of sin(eta_z t); identically zero by symmetry."""
-        return np.zeros_like(np.asarray(t, dtype=float))

@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "PAULI",
     "pauli",
-    "spin_half",
     "embed",
     "expectation",
     "expm_hermitian",
@@ -51,11 +50,6 @@ def pauli(axis: str) -> np.ndarray:
         return PAULI[axis]
     except KeyError:
         raise ValueError(f"unknown Pauli axis {axis!r}, expected one of i/x/y/z") from None
-
-
-def spin_half(axis: str) -> np.ndarray:
-    """Spin-1/2 angular momentum component I_axis = sigma_axis / 2."""
-    return 0.5 * pauli(axis)
 
 
 def require_square(a: np.ndarray) -> int:

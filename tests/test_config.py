@@ -92,6 +92,25 @@ class TestFieldParsing:
         assert cfg.pulse.angle == pytest.approx(3.14159)
 
 
+class TestCouplingForm:
+    """[system] coupling_form only sets the default of [run] hamiltonian."""
+
+    @pytest.mark.parametrize(
+        "doc, hamiltonian",
+        [
+            (MINIMAL, "effective"),
+            (with_key("system", "coupling_form = ising"), "effective"),
+            (with_key("system", "coupling_form = heisenberg"), "heisenberg"),
+            (with_key("system", "coupling_form = heisenberg") + "[run]\nhamiltonian = effective\n", "effective"),
+            (with_key("system", "coupling_form = ising") + "[run]\nhamiltonian = heisenberg\n", "heisenberg"),
+        ],
+    )
+    def test_default_and_override(self, doc, hamiltonian):
+        cfg = parse_config(doc)
+        assert cfg.hamiltonian == hamiltonian
+        assert parse_config(serialize_config(cfg)) == cfg
+
+
 class TestRejection:
     @pytest.mark.parametrize(
         "doc, fragment",
@@ -111,6 +130,7 @@ class TestRejection:
             (with_key("ensemble", "n_realizations = 0"), "n_realizations"),
             (MINIMAL + "[run]\nobservable = pair:1\n", "observable"),
             (MINIMAL + "[run]\nhamiltonian = dipolar\n", "hamiltonian"),
+            (with_key("system", "coupling_form = dipolar"), "coupling_form"),
             (with_key("system", "delta = 0, nan, 5"), "delta"),
         ],
     )

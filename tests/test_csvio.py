@@ -74,6 +74,15 @@ class TestRoundTrip:
         assert loaded.grid.n_points == sample_trace.grid.n_points
         assert loaded.grid.t_max == pytest.approx(sample_trace.grid.t_max)
 
+    def test_trace_leaves_loaded_columns_writeable(self, sample_trace, tmp_path):
+        path = tmp_path / "trace.csv"
+        emit_trace_csv(str(path), sample_trace)
+        table = load_csv(str(path))
+        trace = table.trace()
+        assert table.columns["mx"].flags.writeable
+        table.columns["mx"][0] += 1.0
+        assert trace.mx[0] == sample_trace.mx[0]
+
     def test_oracles_round_trip(self, sample_trace, tmp_path):
         path = tmp_path / "trace.csv"
         oracles = {
@@ -184,6 +193,15 @@ class TestLoaderValidation:
             ],
         )
         with pytest.raises(CsvFormatError, match="uniform"):
+            load_csv(path).trace()
+
+    @pytest.mark.parametrize("key", ["seed", "n_realizations", "polarization"])
+    def test_trace_rejects_non_numeric_metadata(self, tmp_path, key):
+        path = self.write_lines(
+            tmp_path,
+            ["t_s,mx,my,mperp", "0.0,1.0,0.0,1.0", "0.001,0.5,0.0,0.5", f"# {key} = abc"],
+        )
+        with pytest.raises(CsvFormatError, match=f"bad.csv: metadata '{key}'"):
             load_csv(path).trace()
 
     def test_trace_needs_two_samples(self, tmp_path):

@@ -360,6 +360,16 @@ class TestFidTrace:
         with pytest.raises(ValueError):
             trace.mperp_normalized
 
+    def test_caller_arrays_stay_writeable_and_detached(self, default_grid):
+        n = default_grid.n_points
+        mx, my, mperp = np.ones(n), np.zeros(n), np.ones(n)
+        trace = FidTrace(default_grid, mx, my, mperp, n_realizations=1, seed=0)
+        for theirs, ours in ((mx, trace.mx), (my, trace.my), (mperp, trace.mperp)):
+            assert theirs.flags.writeable
+            assert not ours.flags.writeable
+            theirs[0] = 7.0
+            assert ours[0] != 7.0
+
     def test_from_components(self, default_grid):
         t = default_grid.points
         mx = 0.5 * np.cos(TWO_PI * 100.0 * t)

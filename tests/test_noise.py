@@ -88,12 +88,6 @@ class TestClosedFormAverages:
         for kind in NOISE_KINDS:
             model = NoiseModel(kind, 28.0)
             assert model.avg_cos(np.array([0.0]))[0] == pytest.approx(1.0)
-            assert model.avg_sin(np.array([0.0]))[0] == 0.0
-
-    def test_avg_sin_identically_zero(self):
-        t = np.linspace(0.0, 0.024, 481)
-        for kind in NOISE_KINDS:
-            assert np.all(NoiseModel(kind, 28.0).avg_sin(t) == 0.0)
 
     def test_lorentzian_is_exponential(self):
         t = np.linspace(0.0, 0.024, 481)

@@ -14,7 +14,6 @@ from spinfid import (
     expectation,
     expm_hermitian,
     pauli,
-    spin_half,
 )
 
 RNG = np.random.default_rng(7)
@@ -35,10 +34,6 @@ class TestPauliAlgebra:
         assert np.allclose(sx @ sy - sy @ sx, 2j * sz)
         assert np.allclose(sy @ sz - sz @ sy, 2j * sx)
         assert np.allclose(sz @ sx - sx @ sz, 2j * sy)
-
-    def test_spin_half_is_half_pauli(self):
-        for axis in "xyz":
-            assert np.array_equal(spin_half(axis), pauli(axis) / 2.0)
 
     def test_traceless_hermitian(self):
         for axis in "xyz":
@@ -101,11 +96,11 @@ class TestPropagator:
         # H = w * I_z must advance the +1-quantum coherence phase as e^{+iwt}:
         # <I_x> + i <I_y> proportional to e^{i w t} for an initial +x state.
         w = 2.0 * np.pi * 100.0
-        h = w * spin_half("z")
+        h = w * 0.5 * pauli("z")
         plus = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
         t = 1.3e-3
         rho_t = expm_hermitian(h, t).evolve(plus)
-        s = rho_t.expect(spin_half("x")) + 1j * rho_t.expect(spin_half("y"))
+        s = rho_t.expect(0.5 * pauli("x")) + 1j * rho_t.expect(0.5 * pauli("y"))
         assert np.abs(s - 0.5 * np.exp(1j * w * t)) < 1e-12
 
     def test_zero_hamiltonian_is_identity(self):
