@@ -86,53 +86,48 @@ def _check_observed(spec: SpinSystemSpec, observed: int) -> None:
         raise ValueError(f"observed spin {observed} out of range for {spec.n_spins} spins")
 
 
-def fid_thermal_single(
-    spec: SpinSystemSpec, eta_z: float, t: np.ndarray | float, observed: int = 2
-) -> Fid:
-    """Exact secular-model FID of the thermal state at one fixed offset.
+def _thermal_signal(spec: SpinSystemSpec, observed: int, t: np.ndarray) -> np.ndarray:
+    """Noise-free secular thermal-state signal of observed spin k.
 
-    s(t) = (p/2) * prod_{i != k} cos(m J_ik t / 2) * exp(i (delta_k + eta) t)
-    for observed spin k.  The couplings split the observed line into a
-    product of cosine modulations while the offset and noise only rotate
-    the phase.
+    s(t) = (p/2) * prod_{i != k} cos(m J_ik t / 2) * exp(i delta_k t): the
+    couplings split the observed line into a product of cosine modulations
+    while the offset only rotates the phase.
     """
     _check_observed(spec, observed)
-    t = np.asarray(t, dtype=float)
     delta_rad = spec.scale * spec.delta[observed]
-    s = (
+    return (
         0.5
         * spec.polarization
         * _coupling_cosines(spec, observed, t)
-        * np.exp(1j * (delta_rad + eta_z) * t)
+        * np.exp(1j * delta_rad * t)
     )
-    return _components(s)
+
+
+def fid_thermal_single(
+    spec: SpinSystemSpec, eta_z: float, t: np.ndarray | float, observed: int = 2
+) -> Fid:
+    """Exact secular-model FID of the thermal state at one fixed offset."""
+    t = np.asarray(t, dtype=float)
+    return _components(_thermal_signal(spec, observed, t) * np.exp(1j * eta_z * t))
 
 
 def fid_thermal(
     spec: SpinSystemSpec, model: NoiseModel, t: np.ndarray | float, observed: int = 2
 ) -> Fid:
     """Noise-averaged thermal-state FID under the secular Hamiltonian."""
-    _check_observed(spec, observed)
     t = np.asarray(t, dtype=float)
-    delta_rad = spec.scale * spec.delta[observed]
-    s = (
-        0.5
-        * spec.polarization
-        * _coupling_cosines(spec, observed, t)
-        * np.exp(1j * delta_rad * t)
-        * model.avg_cos(t)
-    )
-    return _components(s)
+    return _components(_thermal_signal(spec, observed, t) * model.avg_cos(t))
 
 
-def _pps_phase_rate(spec: SpinSystemSpec, label: str, observed: int) -> tuple[float, int]:
-    """Coherence frequency (rad/s) and sign of the pseudo-pure FID branch.
+def _pps_signal(spec: SpinSystemSpec, label: str, observed: int, t: np.ndarray) -> np.ndarray:
+    """Noise-free secular pseudo-pure signal of observed spin k.
 
     The spectator spins sit in definite z states fixed by the label, so
     the observed coherence precesses at delta_k plus half the signed sum
     of its couplings; a label bit 1 on the observed spin flips the
     initial transverse direction.
     """
+    _check_observed(spec, observed)
     parse_label(label, spec.n_spins)
     signs = [1 if c == "0" else -1 for c in label]
     rate = spec.scale * spec.delta[observed]
@@ -140,7 +135,7 @@ def _pps_phase_rate(spec: SpinSystemSpec, label: str, observed: int) -> tuple[fl
         if i == observed:
             continue
         rate += 0.5 * signs[i] * spec.scale * spec.magnification * spec.j_coupling(i, observed)
-    return rate, signs[observed]
+    return signs[observed] * 0.5 * spec.polarization * np.exp(1j * rate * t)
 
 
 def fid_pps_single(
@@ -151,11 +146,8 @@ def fid_pps_single(
     observed: int = 2,
 ) -> Fid:
     """Exact secular-model FID of the pseudo-pure state at one fixed offset."""
-    _check_observed(spec, observed)
     t = np.asarray(t, dtype=float)
-    rate, sign = _pps_phase_rate(spec, label, observed)
-    s = sign * 0.5 * spec.polarization * np.exp(1j * (rate + eta_z) * t)
-    return _components(s)
+    return _components(_pps_signal(spec, label, observed, t) * np.exp(1j * eta_z * t))
 
 
 def fid_pps(
@@ -171,11 +163,8 @@ def fid_pps(
     coupling: the label pins the spectator spins, so couplings only
     shift the single coherence frequency, which the modulus ignores.
     """
-    _check_observed(spec, observed)
     t = np.asarray(t, dtype=float)
-    rate, sign = _pps_phase_rate(spec, label, observed)
-    s = sign * 0.5 * spec.polarization * np.exp(1j * rate * t) * model.avg_cos(t)
-    return _components(s)
+    return _components(_pps_signal(spec, label, observed, t) * model.avg_cos(t))
 
 
 @dataclass(frozen=True)

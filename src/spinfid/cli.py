@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, config_hash, parse_config_file
+from .config import ConfigError, RunConfig, parse_config_file
 from .csvio import CsvFormatError, write_csv
 from .experiments import (
     DEFAULT_SEED,
@@ -32,6 +32,7 @@ from .experiments import (
     run_experiment,
     run_preset,
     sweep_residuals,
+    table_metadata,
 )
 from .validate import run_validation
 
@@ -105,9 +106,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _apply_overrides(parse_config_file(args.config), args)
     result = run_experiment(config, workers=args.workers)
     print(f"simulated: {_describe(result.trace)}")
-    if result.path is not None:
-        print(f"wrote {result.path}")
+    if config.output is not None:
+        print(f"wrote {config.output}")
     return EXIT_OK
+
+
+def _print_table(table) -> None:
+    print(",".join(table))
+    for row in zip(*table.values()):
+        print(",".join(format(value, ".6g") for value in row))
 
 
 def _cmd_preset(args: argparse.Namespace) -> int:
@@ -125,10 +132,7 @@ def _cmd_preset(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     if result.table is not None:
-        header = list(result.table)
-        print(",".join(header))
-        for row in zip(*result.table.values()):
-            print(",".join(format(value, ".6g") for value in row))
+        _print_table(result.table)
     for path in result.paths:
         print(f"wrote {path}")
     return EXIT_OK
@@ -153,20 +157,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     values = _parse_values(args.values)
     table = sweep_residuals(base, values, param=args.param, workers=args.workers)
     out = args.output if args.output is not None else f"sweep_{args.param}.csv"
-    write_csv(
-        out,
-        list(table),
-        list(table.values()),
-        metadata={
-            "seed": base.seed,
-            "n_realizations": base.n_realizations,
-            "polarization": base.system.polarization,
-            "config_hash": config_hash(base),
-        },
-    )
-    print(",".join(table))
-    for row in zip(*table.values()):
-        print(",".join(format(value, ".6g") for value in row))
+    write_csv(out, list(table), list(table.values()), metadata=table_metadata(base))
+    _print_table(table)
     print(f"wrote {out}")
     return EXIT_OK
 

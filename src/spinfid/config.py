@@ -106,6 +106,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.state_kind not in STATE_KINDS:
             raise ConfigError(f"state kind must be one of {STATE_KINDS}, got {self.state_kind!r}")
+        if self.system.angular_units != self.noise.angular_units:
+            raise ConfigError("system and noise must agree on angular_units, as the one [system] key sets both")
         if self.hamiltonian not in HAMILTONIAN_KINDS:
             raise ConfigError(f"hamiltonian must be one of {HAMILTONIAN_KINDS}, got {self.hamiltonian!r}")
         if self.state_kind == "pps":
@@ -232,9 +234,10 @@ def parse_config(text: str) -> RunConfig:
             j=j,
             polarization=polarization,
             magnification=_parse_float("system", "magnification", get("system", "magnification") or "1"),
-            omega0=_parse_float("system", "omega0", get("system", "omega0") or "0"),
             angular_units=angular,
         )
+        # [system] omega0 only feeds the lab-frame builder, which no run uses.
+        _parse_float("system", "omega0", get("system", "omega0") or "0")
         coupling_form = (get("system", "coupling_form") or "ising").strip().lower()
         if coupling_form not in _COUPLING_FORMS:
             raise ConfigError(f"[system] coupling_form must be one of {tuple(_COUPLING_FORMS)}, got {coupling_form!r}")
@@ -313,7 +316,6 @@ def serialize_config(config: RunConfig) -> str:
         f"j = {', '.join(_format_float(x) for x in system.j)}" if system.j else "j =",
         f"polarization = {_format_float(system.polarization)}",
         f"magnification = {_format_float(system.magnification)}",
-        f"omega0 = {_format_float(system.omega0)}",
         f"angular_units = {'true' if system.angular_units else 'false'}",
         "",
         "[noise]",

@@ -53,6 +53,7 @@ __all__ = [
     "run_experiment",
     "run_preset",
     "sweep_residuals",
+    "table_metadata",
 ]
 
 DEFAULT_SEED = 101
@@ -68,21 +69,19 @@ class NumericInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """One finished run: the trace, its oracle columns, and the file."""
+    """One finished run: its configuration, trace and oracle columns."""
 
     config: RunConfig
     trace: FidTrace
     oracles: dict[str, np.ndarray]
-    path: str | None
 
 
 @dataclass(frozen=True)
 class PresetResult:
-    """Everything a named preset produced (one or more files)."""
+    """Files a named preset wrote, and its table when it produced one."""
 
     name: str
     paths: tuple[str, ...]
-    results: tuple[ExperimentResult, ...] = ()
     table: Mapping[str, np.ndarray] | None = None
 
 
@@ -95,48 +94,38 @@ def build_initial_state(config: RunConfig) -> DensityMatrix:
     return apply_pulse(base, config.pulse)
 
 
-def _standard_readout(config: RunConfig) -> int | None:
-    """Pulsed spin index when the closed-form assumptions hold, else None.
+def matching_oracles(config: RunConfig) -> dict[str, np.ndarray]:
+    """Closed-form magnitude columns that apply to this configuration.
 
     The analytic models describe a pi/2 y-pulse on one spin, read out
     either on that same spin alone or through the total transverse
     magnetization (identical whenever the other spins stay longitudinal,
     which is the case for these preparations under secular evolution).
+    The first-order model of the exchange-coupled system describes the
+    total readout of the stock pseudo-pure ``101`` preparation only.
     """
-    pulse = config.pulse
+    spec, pulse, observable = config.system, config.pulse, config.observable
     if pulse.axis != "y" or not np.isclose(pulse.angle, _HALF_PI):
-        return None
-    if config.observable.kind == "single" and config.observable.index != pulse.target:
-        return None
-    return pulse.target
-
-
-def matching_oracles(config: RunConfig) -> dict[str, np.ndarray]:
-    """Closed-form magnitude columns that apply to this configuration."""
-    observed = _standard_readout(config)
-    if observed is None:
         return {}
-    spec = config.system
+    if observable.kind == "single" and observable.index != pulse.target:
+        return {}
     t = config.grid.points
-    oracles: dict[str, np.ndarray] = {}
     if spec.n_spins == 1:
-        oracles["single"] = fid_single(config.noise, spec.polarization, t)[2]
-        return oracles
+        return {"single": fid_single(config.noise, spec.polarization, t)[2]}
     if config.hamiltonian == "effective":
         if config.state_kind == "thermal":
-            oracles["thermal"] = fid_thermal(spec, config.noise, t, observed=observed)[2]
-        else:
-            oracles["pps"] = fid_pps(spec, config.noise, t, label=config.label, observed=observed)[2]
-    elif (
+            return {"thermal": fid_thermal(spec, config.noise, t, observed=pulse.target)[2]}
+        return {"pps": fid_pps(spec, config.noise, t, label=config.label, observed=pulse.target)[2]}
+    if (
         config.state_kind == "pps"
-        and config.observable.kind == "total"
+        and observable.kind == "total"
         and spec.n_spins == 3
         and config.label == "101"
-        and observed == 2
+        and pulse.target == 2
         and spec.delta[0] == 0.0
     ):
-        oracles["perturbative"] = fid_perturbative(spec, config.noise, t)[2]
-    return oracles
+        return {"perturbative": fid_perturbative(spec, config.noise, t)[2]}
+    return {}
 
 
 def run_experiment(
@@ -171,37 +160,7 @@ def run_experiment(
             oracles=resolved,
             metadata={"config_hash": config_hash(config)},
         )
-    return ExperimentResult(config=config, trace=trace, oracles=resolved, path=config.output)
-
-
-def _paper_system(magnification: float = 1.0, polarization: float = 1.0) -> SpinSystemSpec:
-    return SpinSystemSpec(magnification=magnification, polarization=polarization)
-
-
-def _base_config(
-    state_kind: str,
-    *,
-    magnification: float = 1.0,
-    hamiltonian: str = "effective",
-    n_realizations: int = 100_000,
-    seed: int = DEFAULT_SEED,
-    output: str | None = None,
-    observable: ObservableSpec | None = None,
-) -> RunConfig:
-    polarization = 1.0 if state_kind == "pps" else -1.0
-    return RunConfig(
-        system=_paper_system(magnification, polarization),
-        noise=NoiseModel(kind="lorentzian", width=28.0),
-        state_kind=state_kind,
-        label="101",
-        pulse=PulseSpec(target=2, axis="y", angle=_HALF_PI),
-        grid=TimeGrid(),
-        n_realizations=n_realizations,
-        seed=seed,
-        hamiltonian=hamiltonian,
-        observable=observable if observable is not None else ObservableSpec.single(2),
-        output=output,
-    )
+    return ExperimentResult(config=config, trace=trace, oracles=resolved)
 
 
 def preset_config(
@@ -212,41 +171,42 @@ def preset_config(
     output: str | None = None,
 ) -> RunConfig:
     """Configuration behind a named preset (base config for multi-run ones)."""
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    state_kind = "thermal" if name in ("fig1", "fig2-thermal") else "pps"
+    polarization = 1.0 if state_kind == "pps" else -1.0
+    # Beyond the secular approximation the flip-flop terms push a little
+    # coherence onto the spectator spins; only the total transverse
+    # readout sees the resulting first-order beats.
+    exchange = name in ("fig4a", "fig4b")
     if name == "fig1":
-        return RunConfig(
-            system=SpinSystemSpec(n_spins=1, delta=(0.0,), j=(), polarization=-1.0),
-            noise=NoiseModel(kind="lorentzian", width=28.0),
-            state_kind="thermal",
-            label="0",
-            pulse=PulseSpec(target=0, axis="y", angle=_HALF_PI),
-            grid=TimeGrid(),
-            n_realizations=n_realizations or 100_000,
-            seed=seed,
-            hamiltonian="effective",
-            observable=ObservableSpec.single(0),
-            output=output,
-        )
-    if name == "fig2-thermal":
-        return _base_config("thermal", n_realizations=n_realizations or 100_000, seed=seed, output=output)
-    if name in ("fig2-pps", "fig3"):
-        return _base_config("pps", n_realizations=n_realizations or 100_000, seed=seed, output=output)
-    if name == "fig2-pps-x10":
-        return _base_config(
-            "pps", magnification=10.0, n_realizations=n_realizations or 100_000, seed=seed, output=output
-        )
-    if name in ("fig4a", "fig4b"):
-        # Beyond the secular approximation the flip-flop terms push a
-        # little coherence onto the spectator spins; only the total
-        # transverse readout sees the resulting first-order beats.
-        return _base_config(
-            "pps",
-            hamiltonian="heisenberg",
-            n_realizations=n_realizations or 10_000,
-            seed=seed,
-            output=output,
-            observable=ObservableSpec.total(),
-        )
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+        system, label, spin = SpinSystemSpec(n_spins=1, delta=(0.0,), j=(), polarization=polarization), "0", 0
+    else:
+        magnification = 10.0 if name == "fig2-pps-x10" else 1.0
+        system, label, spin = SpinSystemSpec(magnification=magnification, polarization=polarization), "101", 2
+    return RunConfig(
+        system=system,
+        noise=NoiseModel(kind="lorentzian", width=28.0),
+        state_kind=state_kind,
+        label=label,
+        pulse=PulseSpec(target=spin, axis="y", angle=_HALF_PI),
+        grid=TimeGrid(),
+        n_realizations=n_realizations or (10_000 if exchange else 100_000),
+        seed=seed,
+        hamiltonian="heisenberg" if exchange else "effective",
+        observable=ObservableSpec.total() if exchange else ObservableSpec.single(spin),
+        output=output,
+    )
+
+
+def table_metadata(base: RunConfig) -> dict[str, object]:
+    """Metadata trailer of a residual table swept from ``base``."""
+    return {
+        "seed": base.seed,
+        "n_realizations": base.n_realizations,
+        "polarization": base.system.polarization,
+        "config_hash": config_hash(base),
+    }
 
 
 def _magnification_tag(value: float) -> str:
@@ -263,21 +223,7 @@ def run_preset(
 ) -> PresetResult:
     """Run a named scenario end to end, writing its CSV file(s)."""
     stem = output if output is not None else f"{name}.csv"
-    base = preset_config(name, seed=seed, n_realizations=n_realizations)
-
-    if name == "fig1":
-        config = replace(base, output=stem)
-        t = config.grid.points
-        envelopes = {
-            kind: fid_single(replace(config.noise, kind=kind), config.system.polarization, t)[2]
-            for kind in NOISE_KINDS
-        }
-        result = run_experiment(config, workers=workers, oracles=envelopes)
-        return PresetResult(name=name, paths=(stem,), results=(result,))
-
-    if name in ("fig2-thermal", "fig2-pps", "fig2-pps-x10"):
-        result = run_experiment(replace(base, output=stem), workers=workers)
-        return PresetResult(name=name, paths=(stem,), results=(result,))
+    base = preset_config(name, seed=seed, n_realizations=n_realizations, output=stem)
 
     if name == "fig3":
         t = base.grid.points
@@ -303,7 +249,6 @@ def run_preset(
     if name == "fig4a":
         root = stem[: -len(".csv")] if stem.endswith(".csv") else stem
         paths: list[str] = []
-        results: list[ExperimentResult] = []
         for magnification in (1.0, 2.5, 5.0):
             path = f"{root}_{_magnification_tag(magnification)}.csv"
             config = replace(
@@ -311,26 +256,25 @@ def run_preset(
                 system=replace(base.system, magnification=magnification),
                 output=path,
             )
-            results.append(run_experiment(config, workers=workers))
+            run_experiment(config, workers=workers)
             paths.append(path)
-        return PresetResult(name=name, paths=tuple(paths), results=tuple(results))
+        return PresetResult(name=name, paths=tuple(paths))
 
     if name == "fig4b":
         table = sweep_residuals(base, np.arange(1.0, 6.0), param="m", workers=workers)
-        write_csv(
-            stem,
-            list(table),
-            list(table.values()),
-            metadata={
-                "seed": base.seed,
-                "n_realizations": base.n_realizations,
-                "polarization": base.system.polarization,
-                "config_hash": config_hash(base),
-            },
-        )
+        write_csv(stem, list(table), list(table.values()), metadata=table_metadata(base))
         return PresetResult(name=name, paths=(stem,), table=table)
 
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    # fig1 and fig2-*: one trace; fig1 carries the envelope of every noise family.
+    envelopes = None
+    if name == "fig1":
+        t = base.grid.points
+        envelopes = {
+            kind: fid_single(replace(base.noise, kind=kind), base.system.polarization, t)[2]
+            for kind in NOISE_KINDS
+        }
+    run_experiment(base, workers=workers, oracles=envelopes)
+    return PresetResult(name=name, paths=(stem,))
 
 
 SWEEP_PARAMS = ("m", "width")
@@ -357,29 +301,21 @@ def sweep_residuals(
     then at each requested value, and reports the integrated relative
     deviation of the modulus from that baseline.  The analytic column
     uses the first-order envelope of the magnification sweep and is NaN
-    wherever its assumptions do not hold.
+    unless ``matching_oracles`` offers the perturbative model for ``base``.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("need a non-empty 1-d list of sweep values")
     if np.any(values < 0.0):
         raise ValueError(f"swept {param!r} values must be non-negative")
-    baseline = run_experiment(_with_param(base, param, 0.0), workers=workers).trace
+    baseline = run_experiment(_with_param(base, param, 0.0), workers=workers, oracles={}).trace
+    analytic = param == "m" and "perturbative" in matching_oracles(base)
     t = base.grid.points
     r_numeric = np.empty_like(values)
     r_analytic = np.full_like(values, np.nan)
-    analytic_ok = (
-        param == "m"
-        and base.state_kind == "pps"
-        and base.system.n_spins == 3
-        and base.label == "101"
-        and base.system.delta[0] == 0.0
-        and _standard_readout(base) == 2
-    )
     for k, value in enumerate(values):
         config = _with_param(base, param, float(value))
-        trace = run_experiment(config, workers=workers).trace
-        r_numeric[k] = residual_ratio(trace, baseline)
-        if analytic_ok:
+        r_numeric[k] = residual_ratio(run_experiment(config, workers=workers, oracles={}).trace, baseline)
+        if analytic:
             r_analytic[k] = residual_ratio_analytic(config.system, config.noise, t)
     return {param: values, "r_numeric": r_numeric, "r_analytic": r_analytic}

@@ -16,9 +16,10 @@ Three builders are provided:
   The dimensionless ``magnification`` scales every coupling in both
   rotating-frame builders, so the flip-flop part can be dialed from
   negligible to dominant while offsets stay fixed.
-* ``build_lab``: full lab-frame Hamiltonian with the common carrier
-  frequency omega0 and isotropic exchange couplings.  No run evolves
-  under it; only the validation battery builds it.
+* ``build_lab``: full lab-frame Hamiltonian with a common carrier
+  frequency ``omega0`` (Hz, an argument of the builder) and isotropic
+  exchange couplings.  No run evolves under it; only the validation
+  battery builds it.
 
 The static noise offset eta_z (rad/s) enters every builder as a common
 shift of all spins' longitudinal frequencies.
@@ -55,8 +56,6 @@ class SpinSystemSpec:
     magnification
         Dimensionless factor m applied to every J_ij in the
         rotating-frame builders.
-    omega0
-        Carrier frequency in Hz; only the lab-frame builder uses it.
     """
 
     n_spins: int = 3
@@ -64,7 +63,6 @@ class SpinSystemSpec:
     j: tuple[float, ...] = (-130.0, 69.0, 50.0)
     polarization: float = -1.0
     magnification: float = 1.0
-    omega0: float = 0.0
     angular_units: bool = False
 
     def __post_init__(self) -> None:
@@ -124,9 +122,9 @@ def _zeeman(spec: SpinSystemSpec, eta_z: float, carrier: float) -> np.ndarray:
     return h
 
 
-def build_lab(spec: SpinSystemSpec, eta_z: float = 0.0) -> np.ndarray:
-    """Lab-frame Hamiltonian (rad/s): Zeeman at omega0 + isotropic couplings."""
-    h = _zeeman(spec, eta_z, carrier=spec.omega0)
+def build_lab(spec: SpinSystemSpec, eta_z: float = 0.0, omega0: float = 0.0) -> np.ndarray:
+    """Lab-frame Hamiltonian (rad/s): Zeeman at carrier omega0 (Hz) + isotropic couplings."""
+    h = _zeeman(spec, eta_z, carrier=omega0)
     for i, j, val in spec.pairs():
         for axis in ("x", "y", "z"):
             a = 0.5 * embed(pauli(axis), i, spec.n_spins)

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import subprocess_env
 
+from spinfid.analytic import residual_ratio_analytic
 from spinfid.csvio import load_csv
+from spinfid.experiments import preset_config
 
 SMALL_INI = """\
 [system]
@@ -155,6 +158,56 @@ class TestSweep:
         assert np.all(data.columns["r_analytic"] > 0.0)
         # residual grows with the coupling magnification
         assert data.columns["r_numeric"][1] > data.columns["r_numeric"][0]
+
+    def test_fig4b_analytic_column_is_the_first_order_model(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        result = run_cli(
+            "sweep", "--preset", "fig4b", "--param", "m", "--values", "1,5",
+            "--n-realizations", "40", "--output", str(out), cwd=tmp_path,
+        )
+        assert result.returncode == 0
+        base = preset_config("fig4b")
+        expected = [
+            residual_ratio_analytic(replace(base.system, magnification=m), base.noise, base.grid.points)
+            for m in (1.0, 5.0)
+        ]
+        r_analytic = load_csv(str(out)).columns["r_analytic"]
+        assert np.array_equal(r_analytic, expected)
+        assert r_analytic == pytest.approx([0.0274099, 0.14251], rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "source",
+        [["--preset", "fig2-pps"], ["--config", "heisenberg.ini"]],
+        ids=["secular", "heisenberg-single-readout"],
+    )
+    def test_analytic_column_nan_where_model_does_not_apply(self, tmp_path, source):
+        # the first-order model describes the total readout of the
+        # exchange-coupled system, neither a secular run nor one spin alone
+        (tmp_path / "heisenberg.ini").write_text(
+            SMALL_INI + "[run]\nhamiltonian = heisenberg\nobservable = single:2\n"
+        )
+        out = tmp_path / "sweep.csv"
+        result = run_cli(
+            "sweep", *source, "--param", "m", "--values", "1,5",
+            "--n-realizations", "50", "--output", str(out), cwd=tmp_path,
+        )
+        assert result.returncode == 0
+        data = load_csv(str(out))
+        assert np.all(np.isfinite(data.columns["r_numeric"]))
+        assert np.all(np.isnan(data.columns["r_analytic"]))
+
+    def test_preset_and_sweep_write_identical_tables(self, tmp_path):
+        preset, sweep = tmp_path / "preset.csv", tmp_path / "sweep.csv"
+        from_preset = run_cli(
+            "preset", "fig4b", "--n-realizations", "200", "--output", str(preset), cwd=tmp_path,
+        )
+        from_sweep = run_cli(
+            "sweep", "--preset", "fig4b", "--param", "m", "--values", "1,2,3,4,5",
+            "--n-realizations", "200", "--output", str(sweep), cwd=tmp_path,
+        )
+        assert from_preset.returncode == from_sweep.returncode == 0
+        assert preset.read_bytes() == sweep.read_bytes()
+        assert from_preset.stdout.replace(str(preset), "") == from_sweep.stdout.replace(str(sweep), "")
 
     def test_bad_values_rejected(self, tmp_path):
         result = run_cli(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from spinfid import ObservableSpec
@@ -78,6 +80,13 @@ class TestFieldParsing:
         assert cfg.system.angular_units is True
         assert cfg.noise.angular_units is True
 
+    def test_angular_units_mismatch_rejected(self):
+        cfg = parse_config(MINIMAL)
+        with pytest.raises(ConfigError, match="angular_units"):
+            replace(cfg, noise=replace(cfg.noise, angular_units=True))
+        with pytest.raises(ConfigError, match="angular_units"):
+            replace(cfg, system=replace(cfg.system, angular_units=True))
+
     def test_delta_and_j_lists(self):
         doc = with_key("system", "delta = 0, -100.5, 200\nj = 1, 2, 3")
         cfg = parse_config(doc)
@@ -132,6 +141,8 @@ class TestRejection:
             (MINIMAL + "[run]\nhamiltonian = dipolar\n", "hamiltonian"),
             (with_key("system", "coupling_form = dipolar"), "coupling_form"),
             (with_key("system", "delta = 0, nan, 5"), "delta"),
+            (with_key("system", "omega0 = fast"), "omega0"),
+            (with_key("system", "omega0 = inf"), "omega0"),
         ],
     )
     def test_invalid_document_rejected(self, doc, fragment):
@@ -170,6 +181,13 @@ class TestConfigHash:
         plain = parse_config(MINIMAL)
         routed = parse_config(MINIMAL + "[run]\noutput = somewhere.csv\n")
         assert config_hash(plain) == config_hash(routed)
+
+    def test_hash_ignores_omega0(self):
+        # omega0 feeds only the lab-frame builder, which no run evolves under
+        carrier = parse_config(with_key("system", "omega0 = 400e6"))
+        assert carrier == parse_config(MINIMAL)
+        assert config_hash(carrier) == config_hash(parse_config(MINIMAL))
+        assert "omega0" not in serialize_config(carrier)
 
     @pytest.mark.parametrize(
         "variant",

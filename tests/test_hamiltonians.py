@@ -24,7 +24,6 @@ def random_spec(rng: np.random.Generator) -> SpinSystemSpec:
         delta=tuple(rng.uniform(-2000, 2000, size=3)),
         j=tuple(rng.uniform(-200, 200, size=3)),
         magnification=float(rng.uniform(0, 10)),
-        omega0=float(rng.uniform(0, 1e5)),
     )
 
 
@@ -68,8 +67,7 @@ class TestAnchorValues:
         assert h[0, 0] == pytest.approx(TWO_PI * -185.75, rel=1e-12)
 
     def test_lab_frame_corner_matches_effective(self):
-        spec = SpinSystemSpec(omega0=0.0)
-        h_lab = build_lab(spec)
+        h_lab = build_lab(SpinSystemSpec())
         assert h_lab[0, 0] == pytest.approx(TWO_PI * -185.75, rel=1e-12)
 
     def test_largest_flip_flop_element(self):
@@ -137,21 +135,20 @@ class TestStructure:
         rng = np.random.default_rng(seed)
         spec = random_spec(rng)
         eta = float(rng.normal(scale=100.0))
-        for builder in (build_lab, build_effective, build_rotating_heisenberg):
-            h = builder(spec, eta_z=eta)
+        h_lab = build_lab(spec, eta_z=eta, omega0=float(rng.uniform(0, 1e5)))
+        for h in (h_lab, build_effective(spec, eta_z=eta), build_rotating_heisenberg(spec, eta_z=eta)):
             assert np.allclose(h, h.conj().T)
 
     def test_lab_frame_contains_full_exchange(self):
         # in the lab frame the transverse coupling is always present,
         # so lab and effective agree only on the diagonal
-        spec = SpinSystemSpec(omega0=0.0)
+        spec = SpinSystemSpec()
         diff = build_lab(spec) - build_effective(spec)
         assert np.allclose(np.diag(diff), 0.0)
         assert np.max(np.abs(diff)) > 0.0
 
     def test_omega0_shifts_lab_diagonal(self):
-        spec = SpinSystemSpec(omega0=1e6)
-        base = SpinSystemSpec(omega0=0.0)
-        shift = build_lab(spec) - build_lab(base)
+        spec = SpinSystemSpec()
+        shift = build_lab(spec, omega0=1e6) - build_lab(spec)
         z_total = sum(embed(pauli("z"), i, 3) / 2.0 for i in range(3))
         assert np.allclose(shift, TWO_PI * 1e6 * z_total)
