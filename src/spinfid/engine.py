@@ -23,12 +23,21 @@ assumptions are checked on every call: ||[H0, sum_i I_iz]|| must vanish
 relative to ||H0|| and [sum_i I_iz, O] must equal O, else evolve_fid
 raises ValueError instead of returning a wrong answer.
 
+Phase sum: the grid is uniform, t_k = k dt, so writing k = a * side + b
+with side = isqrt(n - 1) + 1 gives
+sum_r exp(i eta_r t_k) = sum_r exp(i eta_r a side dt) exp(i eta_r b dt).
+A chunk of R draws takes R * (rows + side) ~ 2 R sqrt(n) complex exps,
+and one (rows x R)(R x side) contraction does the rest.
+
 Determinism: realizations are split into fixed-size chunks whose
 boundaries depend only on the realization count and the grid length,
-each chunk is reduced with numpy's deterministic summation, and chunk
-partials are combined in chunk order.  Worker threads only decide who
-computes a chunk, so results are bit-identical for any worker count.
-The worker count comes from the ``workers`` argument, else the
+each chunk is contracted by numpy's single-threaded einsum loop, and
+chunk partials are combined in chunk order.  The contraction avoids
+BLAS on purpose: a threaded GEMM splits its sums by the BLAS thread
+count, so its result bytes would depend on OPENBLAS_NUM_THREADS.
+Worker threads only decide who computes a chunk, so results are
+bit-identical for any worker count and any BLAS thread count.  The
+worker count comes from the ``workers`` argument, else the
 SPINFID_WORKERS environment variable, else the CPU count.
 """
 
@@ -59,7 +68,9 @@ WORKERS_ENV_VAR = "SPINFID_WORKERS"
 
 HAMILTONIAN_KINDS = ("effective", "heisenberg")
 
-# Complex grid cells a chunk may hold; bounds peak memory to ~100 MB.
+# Realization x grid-point cells per chunk.  Chunks are the parallel grain
+# and their boundaries fix the reduction order, so changing this changes
+# result bytes.  A chunk holds size * (rows + side) complex cells, not size * n.
 _CHUNK_CELLS = 4_000_000
 
 # Refuse ensembles whose realization x grid-point product exceeds this.
@@ -280,9 +291,14 @@ def evolve_fid(
     workers = _resolve_workers(workers)
     deterministic = _zero_noise_signal(h0, initial.matrix, obs, t)
 
+    side = math.isqrt(grid.n_points - 1) + 1
+
     def chunk_sum(lo: int, hi: int) -> np.ndarray:
         etas = noise.sample_block(seed, lo, hi - lo)
-        return np.exp(1j * np.outer(etas, t)).sum(axis=0)
+        e_a = np.exp(1j * np.outer(etas, t[::side]))
+        e_b = np.exp(1j * np.outer(etas, t[:side]))
+        # einsum without optimize stays out of BLAS (see Determinism above).
+        return np.einsum("ra,rb->ab", e_a, e_b, optimize=False).ravel()[: grid.n_points]
 
     partials = _map_chunks(chunk_sum, _chunk_bounds(n_realizations, grid.n_points), workers)
     signal = deterministic * np.sum(np.stack(partials), axis=0)

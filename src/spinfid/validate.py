@@ -183,7 +183,7 @@ def _check_engine_closed_form() -> str:
 
 def _check_path_agreement() -> str:
     spec = SpinSystemSpec(magnification=5.0, polarization=-1.0)
-    grid = TimeGrid(n_points=49)
+    grid = TimeGrid(n_points=50)
     noise = NoiseModel(kind="lorentzian", width=28.0)
     initial = apply_pulse(thermal_state(spec), PulseSpec(target=2))
     n_draws, seed = 4, 31

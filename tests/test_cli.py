@@ -32,13 +32,13 @@ seed = 3
 """
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, extra_env=None):
     return subprocess.run(
         [sys.executable, "-m", "spinfid", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=subprocess_env(),
+        env={**subprocess_env(), **(extra_env or {})},
         timeout=300,
     )
 
@@ -97,6 +97,24 @@ class TestPreset:
         result = run_cli("preset", "fig3", cwd=tmp_path)
         assert result.returncode == 0
         assert (tmp_path / "fig3.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [("fig2-pps", "--n-realizations", "20000", "--seed", "7"), ("fig4b", "--n-realizations", "500")],
+        ids=["fig2-pps", "fig4b"],
+    )
+    def test_bytes_independent_of_worker_and_blas_thread_counts(self, tmp_path, args):
+        outputs = []
+        for blas_threads in ("1", "2"):
+            for workers in ("1", "3"):
+                out = tmp_path / f"blas{blas_threads}-workers{workers}.csv"
+                result = run_cli(
+                    "preset", *args, "--workers", workers, "--output", str(out), cwd=tmp_path,
+                    extra_env={"OPENBLAS_NUM_THREADS": blas_threads, "OMP_NUM_THREADS": blas_threads},
+                )
+                assert result.returncode == 0, result.stderr
+                outputs.append(out.read_bytes())
+        assert all(data == outputs[0] for data in outputs[1:])
 
 
 class TestSimulate:
