@@ -24,7 +24,7 @@ relative to ||H0|| and [sum_i I_iz, O] must equal O, else evolve_fid
 raises ValueError instead of returning a wrong answer.
 
 Phase sum: the grid is uniform, t_k = k dt, so writing k = a * side + b
-with side = isqrt(n - 1) + 1 gives
+with side = isqrt(n - 1) + 1 and a < rows = ceil(n / side) gives
 sum_r exp(i eta_r t_k) = sum_r exp(i eta_r a side dt) exp(i eta_r b dt).
 A chunk of R draws takes R * (rows + side) ~ 2 R sqrt(n) complex exps,
 and one (rows x R)(R x side) contraction does the rest.
