@@ -60,10 +60,14 @@ def write_csv(
     lengths = {array.shape for array in arrays}
     if len(lengths) > 1 or (arrays and arrays[0].ndim != 1):
         raise ValueError(f"columns must be 1-d and equally long, got shapes {sorted(lengths)}")
+    # repr of a Python float is _format_value's float form, without a per-cell call.
+    cells = [
+        map(repr, array.tolist()) if array.dtype == np.float64 else map(_format_value, array)
+        for array in arrays
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in range(arrays[0].shape[0] if arrays else 0):
-            handle.write(",".join(_format_value(array[row]) for array in arrays) + "\n")
+        handle.writelines(",".join(row) + "\n" for row in zip(*cells))
         for key, value in (metadata or {}).items():
             handle.write(f"# {key} = {_format_value(value)}\n")
 

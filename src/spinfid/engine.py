@@ -23,28 +23,42 @@ assumptions are checked on every call: ||[H0, sum_i I_iz]|| must vanish
 relative to ||H0|| and [sum_i I_iz, O] must equal O, else evolve_fid
 raises ValueError instead of returning a wrong answer.
 
-Phase sum: the grid is uniform, t_k = k dt, so writing k = a * side + b
-with side = isqrt(n - 1) + 1 and a < rows = ceil(n / side) gives
-sum_r exp(i eta_r t_k) = sum_r exp(i eta_r a side dt) exp(i eta_r b dt).
-A chunk of R draws takes R * (rows + side) ~ 2 R sqrt(n) complex exps,
-and one (rows x R)(R x side) contraction does the rest.
+Phase sum: the grid is uniform, t_k = k dt, so the sum
+R chi(t_k) = sum_r exp(i k x_r) with x_r = eta_r dt mod 2 pi is a type-1
+nonuniform FFT (Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1368 (1993)),
+evaluated by Gaussian gridding (Greengard & Lee, SIAM Rev. 46, 443
+(2004)).  Every draw has unit strength, so it is spread onto a real
+periodic grid of M = sigma N points, N = 2n, with the periodised Gaussian
+g(x) = sum_l exp(-(x - 2 pi l)^2 / (4 tau)), cut to the 2w grid points
+nearest the draw.  The grid's Fourier coefficients are
+sqrt(tau / pi) exp(-k^2 tau) sum_r exp(-i k x_r), so one real FFT, a
+conjugate and the factor sqrt(pi / tau) exp(k^2 tau) / M give the sum for
+k < n.  With sigma = 3, w = 12 and tau = pi w / (N^2 sigma (sigma - 1/2))
+the cut-off kernel tail and the aliased modes both stay below e^-30 of
+the kernel peak.  Positions are counted in grid cells, so the period is
+exactly M and wrapping a negative eta adds no systematic phase.  The
+mean stays within 2e-14 of the direct sum of exp(i eta_r t_k) for all
+three noise kinds on grids of 2 to 4001 points; the tests hold it to
+1e-12.  A chunk costs 2w kernel values per draw plus one grid of M + 2w
+cells, whatever n is, and one M-point FFT finishes the sum.
 
 Determinism: realizations are split into fixed-size chunks whose
-boundaries depend only on the realization count and the grid length,
-each chunk is contracted by numpy's single-threaded einsum loop, and
-chunk partials are combined in chunk order.  The contraction avoids
-BLAS on purpose: a threaded GEMM splits its sums by the BLAS thread
-count, so its result bytes would depend on OPENBLAS_NUM_THREADS.
-Worker threads only decide who computes a chunk, so results are
-bit-identical for any worker count and any BLAS thread count.  The
-worker count comes from the ``workers`` argument, else the
-SPINFID_WORKERS environment variable, else the CPU count.
+boundaries depend only on the realization count.  np.bincount adds each
+chunk's kernel values in input order, the chunk grids are added in chunk
+order, and the FFT runs once on their sum.  No step calls BLAS (exp,
+bincount and numpy's pocketfft have no BLAS call), whose threaded
+kernels split sums by the BLAS thread count.  Worker threads only decide
+who computes a chunk, so results are bit-identical for any worker count
+and any BLAS thread count.  The worker count comes from the ``workers``
+argument, else the SPINFID_WORKERS environment variable, else the CPU
+count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -68,12 +82,18 @@ WORKERS_ENV_VAR = "SPINFID_WORKERS"
 
 HAMILTONIAN_KINDS = ("effective", "heisenberg")
 
-# Realization x grid-point cells per chunk.  Chunks are the parallel grain
-# and their boundaries fix the reduction order, so changing this changes
-# result bytes.  A chunk holds size * (rows + side) complex cells, not size * n.
-_CHUNK_CELLS = 4_000_000
+# Draws per chunk.  Chunks are the parallel grain and their boundaries fix
+# the reduction order, so changing this changes result bytes.
+_CHUNK_DRAWS = 4096
 
-# Refuse ensembles whose realization x grid-point product exceeds this.
+# Gaussian gridding constants of the phase sum (see the module docstring):
+# the spreading grid is oversampled by sigma over 2n modes, and each draw
+# touches _HALF_WIDTH grid points on either side.
+_OVERSAMPLING = 3
+_HALF_WIDTH = 12
+
+# Refuse a phase sum that would touch more kernel values plus chunk-grid cells
+# than this: R * 2 * _HALF_WIDTH + chunks * (M + 2 * _HALF_WIDTH).
 _MAX_WORK_CELLS = 20_000_000_000
 
 # Relative tolerance of the run-time checks behind the D(t) chi(t) factorisation.
@@ -212,17 +232,18 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _chunk_bounds(n_realizations: int, n_points: int) -> list[tuple[int, int]]:
-    """Fixed chunk boundaries; a function of the problem shape only."""
-    size = max(1, _CHUNK_CELLS // n_points)
-    return [(lo, min(lo + size, n_realizations)) for lo in range(0, n_realizations, size)]
+def _chunk_bounds(n_realizations: int) -> list[tuple[int, int]]:
+    """Fixed chunk boundaries; a function of the realization count only."""
+    return [(lo, min(lo + _CHUNK_DRAWS, n_realizations)) for lo in range(0, n_realizations, _CHUNK_DRAWS)]
 
 
-def _map_chunks(fn, bounds: list[tuple[int, int]], workers: int) -> list[np.ndarray]:
+def _map_chunks(fn, bounds: list[tuple[int, int]], workers: int) -> Iterator[np.ndarray]:
+    """Yield fn(lo, hi) for each chunk in chunk order, whichever worker computed it."""
     if workers == 1 or len(bounds) == 1:
-        return [fn(lo, hi) for lo, hi in bounds]
+        yield from (fn(lo, hi) for lo, hi in bounds)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda b: fn(*b), bounds))
+        yield from pool.map(lambda b: fn(*b), bounds)
 
 
 def _require_factorisation(h0: np.ndarray, obs: np.ndarray, n_spins: int) -> None:
@@ -254,6 +275,47 @@ def _zero_noise_signal(h0: np.ndarray, rho: np.ndarray, obs: np.ndarray, t: np.n
     return (a[:, None] * np.exp(-1j * np.outer(w, t))).sum(axis=0)
 
 
+def _phase_sum(
+    noise: NoiseModel, grid: TimeGrid, n_realizations: int, seed: int, workers: int
+) -> np.ndarray:
+    """R chi(t_k) = sum_r exp(i eta_r t_k) on the grid, by a type-1 NUFFT (see the module docstring)."""
+    n = grid.n_points
+    m = _OVERSAMPLING * 2 * n
+    padded_cells = m + 2 * _HALF_WIDTH
+    work = n_realizations * 2 * _HALF_WIDTH + -(-n_realizations // _CHUNK_DRAWS) * padded_cells
+    if work > _MAX_WORK_CELLS:
+        raise ValueError(
+            f"requested {n_realizations} realizations x {n} grid points needs {work} "
+            f"kernel values and grid cells, over the work limit of {_MAX_WORK_CELLS}"
+        )
+    tau = math.pi * _HALF_WIDTH / ((2 * n) ** 2 * _OVERSAMPLING * (_OVERSAMPLING - 0.5))
+    cells_per_rad = m / (2.0 * math.pi)
+    decay = 1.0 / (4.0 * tau * cells_per_rad**2)  # kernel exp(-decay gap^2), gap in grid cells
+    # A draw at x touches the 2w grid points floor(x) - w + 1 ... floor(x) + w.  They are
+    # spread onto a padded line, cell c holding grid point c - w + 1, and folded mod m once.
+    reach = np.arange(2 * _HALF_WIDTH)
+
+    def spread(lo: int, hi: int) -> np.ndarray:
+        # x_r = eta_r dt mod 2 pi, in grid cells; a period of exactly m cells keeps the wrap exact.
+        x = np.mod(noise.sample_block(seed, lo, hi - lo) * (grid.dt * cells_per_rad), m)
+        node = np.floor(x)  # x = m (a tiny negative eta) gives node m, which the fold wraps
+        kernel = (x - node + (_HALF_WIDTH - 1))[:, None] - reach  # gap to each touched point
+        kernel *= kernel
+        kernel *= -decay
+        np.exp(kernel, out=kernel)
+        cells = node.astype(np.int64)[:, None] + reach
+        return np.bincount(cells.ravel(), weights=kernel.ravel(), minlength=padded_cells)
+
+    padded = np.zeros(padded_cells)
+    for part in _map_chunks(spread, _chunk_bounds(n_realizations), workers):
+        padded += part
+    fold = (np.arange(padded_cells) - (_HALF_WIDTH - 1)) % m
+    periodic = np.bincount(fold, weights=padded, minlength=m)
+    k = np.arange(n)
+    deconvolve = math.sqrt(math.pi / tau) / m * np.exp(k * k * tau)
+    return deconvolve * np.fft.rfft(periodic)[:n].conj()
+
+
 def evolve_fid(
     spec: SpinSystemSpec,
     initial: DensityMatrix,
@@ -275,11 +337,6 @@ def evolve_fid(
         raise ValueError(f"state dimension {initial.dim} does not match spec dimension {spec.dim}")
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-    if n_realizations * grid.n_points > _MAX_WORK_CELLS:
-        raise ValueError(
-            f"requested {n_realizations} realizations x {grid.n_points} grid points "
-            f"exceeds the work limit of {_MAX_WORK_CELLS} cells"
-        )
     if hamiltonian not in HAMILTONIAN_KINDS:
         raise ValueError(f"hamiltonian must be one of {HAMILTONIAN_KINDS}, got {hamiltonian!r}")
     observable = observable if observable is not None else ObservableSpec.single(spec.n_spins - 1)
@@ -287,21 +344,8 @@ def evolve_fid(
     build = build_effective if hamiltonian == "effective" else build_rotating_heisenberg
     h0 = build(spec, eta_z=0.0)
     _require_factorisation(h0, obs, spec.n_spins)
-    t = grid.points
-    workers = _resolve_workers(workers)
-    deterministic = _zero_noise_signal(h0, initial.matrix, obs, t)
-
-    side = math.isqrt(grid.n_points - 1) + 1
-
-    def chunk_sum(lo: int, hi: int) -> np.ndarray:
-        etas = noise.sample_block(seed, lo, hi - lo)
-        e_a = np.exp(1j * np.outer(etas, t[::side]))
-        e_b = np.exp(1j * np.outer(etas, t[:side]))
-        # einsum without optimize stays out of BLAS (see Determinism above).
-        return np.einsum("ra,rb->ab", e_a, e_b, optimize=False).ravel()[: grid.n_points]
-
-    partials = _map_chunks(chunk_sum, _chunk_bounds(n_realizations, grid.n_points), workers)
-    signal = deterministic * np.sum(np.stack(partials), axis=0)
+    chi = _phase_sum(noise, grid, n_realizations, seed, _resolve_workers(workers))
+    signal = _zero_noise_signal(h0, initial.matrix, obs, grid.points) * chi
     signal /= n_realizations
 
     return FidTrace.from_components(

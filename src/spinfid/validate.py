@@ -21,7 +21,7 @@ import numpy as np
 from .analytic import fid_pps_single, fid_thermal_single
 from .config import parse_config, serialize_config
 from .csvio import emit_trace_csv, load_csv
-from .engine import ObservableSpec, TimeGrid, evolve_fid
+from .engine import ObservableSpec, TimeGrid, _chunk_bounds, evolve_fid
 from .experiments import preset_config, run_experiment
 from .hamiltonians import (
     SpinSystemSpec,
@@ -212,12 +212,15 @@ def _check_worker_determinism() -> str:
     grid = TimeGrid()
     noise = NoiseModel(kind="lorentzian", width=28.0)
     initial = apply_pulse(pps_state(spec, "101"), PulseSpec(target=2))
-    kwargs = dict(n_realizations=5000, seed=5)
+    kwargs = dict(n_realizations=10_000, seed=5)
+    chunks = len(_chunk_bounds(kwargs["n_realizations"]))
+    if chunks < 3:
+        raise AssertionError(f"{chunks} chunks; at least 3 are needed to exercise the worker pool")
     serial = evolve_fid(spec, initial, noise, grid, workers=1, **kwargs)
     threaded = evolve_fid(spec, initial, noise, grid, workers=3, **kwargs)
     if not (np.array_equal(serial.mx, threaded.mx) and np.array_equal(serial.my, threaded.my)):
         raise AssertionError("results depend on the worker count")
-    return "bit-identical traces for 1 and 3 workers"
+    return f"bit-identical traces for 1 and 3 workers over {chunks} chunks"
 
 
 def _check_coupling_invariance() -> str:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from spinfid import FidTrace, NoiseModel, TimeGrid, evolve_fid
-from spinfid.csvio import CsvFormatError, emit_trace_csv, load_csv, write_csv
+from spinfid.csvio import CsvFormatError, _format_value, emit_trace_csv, load_csv, write_csv
+from spinfid.experiments import run_preset
 from spinfid.states import apply_pulse, pps_state
 from spinfid import PulseSpec, SpinSystemSpec
 
@@ -104,6 +105,43 @@ class TestRoundTrip:
         assert np.array_equal(data.columns["m"], m)
         assert np.array_equal(data.columns["residual"], r)
         assert data.metadata["note"] == "sweep"
+
+
+def cell_by_cell_bytes(header, columns, metadata) -> bytes:
+    """The file a per-cell ``_format_value`` loop writes: the writer's reference."""
+    lines = [",".join(header)]
+    arrays = [np.asarray(column) for column in columns]
+    for row in range(arrays[0].shape[0]):
+        lines.append(",".join(_format_value(array[row]) for array in arrays))
+    lines += [f"# {key} = {_format_value(value)}" for key, value in metadata.items()]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestWriterBytes:
+    def test_special_values_and_integer_columns(self, tmp_path):
+        floats = np.array([
+            np.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0,
+            1e-300, -1e-300, 1e300, -1e300, np.inf, -np.inf, 0.1, 1.0 / 3.0, -2.5,
+        ])
+        n = floats.size
+        header = ["x", "m", "big", "flag"]
+        columns = [
+            floats,
+            np.arange(n) - 7,
+            np.full(n, 2**62, dtype=np.int64),
+            np.arange(n) % 3 == 0,
+        ]
+        metadata = {"seed": 7, "weight": -0.0, "tiny": 5e-324, "ok": True, "note": "text"}
+        path = tmp_path / "special.csv"
+        write_csv(str(path), header, columns, metadata)
+        assert path.read_bytes() == cell_by_cell_bytes(header, columns, metadata)
+
+    def test_preset_file(self, tmp_path):
+        path = tmp_path / "fig2-pps.csv"
+        run_preset("fig2-pps", n_realizations=500, seed=7, output=str(path), workers=1)
+        table = load_csv(str(path))
+        expected = cell_by_cell_bytes(list(table.columns), list(table.columns.values()), table.metadata)
+        assert path.read_bytes() == expected
 
 
 class TestWriterValidation:

@@ -255,10 +255,12 @@ class TestConservation:
 class TestDeterminism:
     def test_worker_count_invariance(self, pps_system, default_grid):
         model = NoiseModel("lorentzian", 28.0)
+        n = 2 * spinfid.engine._CHUNK_DRAWS + 500
+        assert len(spinfid.engine._chunk_bounds(n)) >= 3
         runs = [
             evolve_fid(
                 pps_system, pulsed_pps(pps_system), model, default_grid,
-                n_realizations=500, seed=11, workers=w,
+                n_realizations=n, seed=11, workers=w,
             )
             for w in (1, 2, 3)
         ]
@@ -269,8 +271,8 @@ class TestDeterminism:
     def test_heisenberg_worker_count_invariance_across_chunks(self):
         spec = SpinSystemSpec(polarization=-1.0, magnification=5.0)
         grid = TimeGrid(t_max=0.024, n_points=2001)
-        n = 4_500
-        assert len(spinfid.engine._chunk_bounds(n, grid.n_points)) >= 2
+        n = 10_000
+        assert len(spinfid.engine._chunk_bounds(n)) >= 3
         runs = [
             evolve_fid(spec, pulsed_thermal(spec), NoiseModel("lorentzian", 28.0), grid,
                        n_realizations=n, seed=13, hamiltonian="heisenberg", workers=w)
@@ -295,9 +297,13 @@ class TestDeterminism:
                        n_realizations=64, seed=22)
         assert not np.array_equal(a.mx, b.mx)
 
-    @given(workers=st.integers(1, 4), n=st.integers(1, 40))
+    @given(
+        workers=st.integers(1, 4),
+        n=st.integers(2 * spinfid.engine._CHUNK_DRAWS + 1, 4 * spinfid.engine._CHUNK_DRAWS),
+    )
     @settings(max_examples=10, deadline=None)
     def test_worker_invariance_random_sizes(self, workers, n):
+        assert len(spinfid.engine._chunk_bounds(n)) >= 3
         spec = SpinSystemSpec(polarization=1.0)
         grid = TimeGrid(t_max=0.004, n_points=17)
         model = NoiseModel("lorentzian", 28.0)
@@ -309,8 +315,26 @@ class TestDeterminism:
         assert np.array_equal(base.my, other.my)
 
 
-class TestSplitGridPhaseSum:
-    """The engine's split-grid chi(t) against the direct per-point exponential sum."""
+class FixedDraws:
+    """Noise stand-in whose realization r is ``etas[r]``, for hand-picked offsets."""
+
+    def __init__(self, etas) -> None:
+        self.etas = np.asarray(etas, dtype=float)
+
+    def sample_block(self, seed: int, start: int, count: int) -> np.ndarray:
+        return self.etas[start : start + count]
+
+
+def direct_mean(etas: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    return np.exp(1j * np.outer(etas, grid.points)).sum(axis=0) / etas.size
+
+
+def nufft_mean(noise, grid: TimeGrid, n: int, seed: int = 0, workers: int = 1) -> np.ndarray:
+    return spinfid.engine._phase_sum(noise, grid, n, seed, workers) / n
+
+
+class TestPhaseSum:
+    """The engine's NUFFT chi(t) against the direct per-point exponential sum."""
 
     @pytest.mark.parametrize("kind", ["white", "gaussian", "lorentzian"])
     @pytest.mark.parametrize("n_points", [2, 3, 17, 49, 481, 482, 4001])
@@ -329,6 +353,44 @@ class TestSplitGridPhaseSum:
         eta = noise.sample_block(seed, 0, n)
         reference = np.exp(1j * np.outer(eta, grid.points)).sum(axis=0) / n
         assert np.max(np.abs((trace.mx + 1j * trace.my) / d0 - reference)) <= 1e-12
+
+    def test_zero_width_puts_every_draw_at_the_origin(self, default_grid):
+        noise = NoiseModel("white", 0.0)
+        got = nufft_mean(noise, default_grid, 1000, seed=3)
+        assert np.max(np.abs(got - 1.0)) <= 1e-12
+
+    def test_tiny_negative_offset_wraps_onto_the_first_node(self, default_grid):
+        # np.mod rounds these up to a full period, so the draw lands one period out.
+        etas = np.array([-1e-300, -1e-20, -3e-9, 1e-300, 40.0, -40.0])
+        assert np.mod(etas[0] * default_grid.dt, 2.0 * np.pi) == 2.0 * np.pi
+        got = nufft_mean(FixedDraws(etas), default_grid, etas.size)
+        assert np.max(np.abs(got - direct_mean(etas, default_grid))) <= 1e-12
+
+    def test_lorentzian_tail_draws_many_turns_per_step(self, default_grid):
+        tails = np.array([2.6e6, -2.6e6, 1.3e7, -1.3e7])
+        assert np.min(np.abs(tails * default_grid.dt)) > 100.0  # radians per grid step, >> 2 pi
+        etas = np.concatenate([NoiseModel("lorentzian", 28.0).sample_block(9, 0, 2000), tails])
+        got = nufft_mean(FixedDraws(etas), default_grid, etas.size)
+        assert np.max(np.abs(got - direct_mean(etas, default_grid))) <= 1e-12
+
+    def test_draws_on_grid_nodes(self, default_grid):
+        cells = spinfid.engine._OVERSAMPLING * 2 * default_grid.n_points
+        nodes = np.array([0, 1, 2, 5, 17, 123, 1000, cells - 1, cells + 3, -1, -4, -600, -cells - 7])
+        etas = 2.0 * np.pi * nodes / (cells * default_grid.dt)
+        position = etas * (default_grid.dt * cells / (2.0 * np.pi))
+        assert np.count_nonzero(position == np.round(position)) > nodes.size // 2
+        got = nufft_mean(FixedDraws(etas), default_grid, etas.size)
+        assert np.max(np.abs(got - direct_mean(etas, default_grid))) <= 1e-12
+
+    def test_ragged_last_chunk(self, default_grid):
+        n = 2 * spinfid.engine._CHUNK_DRAWS + 123
+        bounds = spinfid.engine._chunk_bounds(n)
+        assert len(bounds) == 3 and bounds[-1] == (n - 123, n)
+        noise = NoiseModel("gaussian", 28.0)
+        serial = nufft_mean(noise, default_grid, n, seed=4, workers=1)
+        assert np.array_equal(serial, nufft_mean(noise, default_grid, n, seed=4, workers=3))
+        reference = direct_mean(noise.sample_block(4, 0, n), default_grid)
+        assert np.max(np.abs(serial - reference)) <= 1e-12
 
 
 class TestCouplingInvariance:
@@ -441,6 +503,17 @@ class TestArgumentValidation:
         with pytest.raises(ValueError):
             evolve_fid(default_system, pulsed_thermal(default_system),
                        NoiseModel("white", 0.0), default_grid, n_realizations=0)
+
+    @pytest.mark.parametrize("n_points, n_realizations", [(481, 10**9), (10**10, 1)])
+    def test_work_limit_refuses_before_sampling(self, monkeypatch, n_points, n_realizations):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a draw was sampled before the work limit was checked")
+
+        monkeypatch.setattr(NoiseModel, "sample_block", no_draws)
+        spec = SpinSystemSpec(polarization=1.0)
+        with pytest.raises(ValueError, match="work limit"):
+            evolve_fid(spec, pulsed_pps(spec), NoiseModel("lorentzian", 28.0),
+                       TimeGrid(n_points=n_points), n_realizations=n_realizations)
 
     def test_unknown_hamiltonian(self, default_system, default_grid):
         with pytest.raises(ValueError):
