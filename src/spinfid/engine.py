@@ -84,7 +84,7 @@ HAMILTONIAN_KINDS = ("effective", "heisenberg")
 
 # Draws per chunk.  Chunks are the parallel grain and their boundaries fix
 # the reduction order, so changing this changes result bytes.
-_CHUNK_DRAWS = 4096
+_CHUNK_DRAWS = 2048
 
 # Gaussian gridding constants of the phase sum (see the module docstring):
 # the spreading grid is oversampled by sigma over 2n modes, and each draw
