@@ -216,6 +216,8 @@ def parse_config(text: str) -> RunConfig:
         j = _parse_float_list("system", "j", j_raw)
     elif defaults is not None:
         j = defaults.j
+    elif n_spins == 1:
+        j = ()  # a lone spin has no pairs
     else:
         raise ConfigError(f"[system] j is required for n_spins = {n_spins}")
 

@@ -49,9 +49,8 @@ order, and the FFT runs once on their sum.  No step calls BLAS (exp,
 bincount and numpy's pocketfft have no BLAS call), whose threaded
 kernels split sums by the BLAS thread count.  Worker threads only decide
 who computes a chunk, so results are bit-identical for any worker count
-and any BLAS thread count.  The worker count comes from the ``workers``
-argument, else the SPINFID_WORKERS environment variable, else the CPU
-count.
+and any BLAS thread count.  The worker count is the ``workers`` argument,
+else the CPU count.
 """
 
 from __future__ import annotations
@@ -75,10 +74,7 @@ __all__ = [
     "FidTrace",
     "evolve_fid",
     "residual_ratio",
-    "WORKERS_ENV_VAR",
 ]
-
-WORKERS_ENV_VAR = "SPINFID_WORKERS"
 
 HAMILTONIAN_KINDS = ("effective", "heisenberg")
 
@@ -219,14 +215,7 @@ class FidTrace:
 
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
-        env = os.environ.get(WORKERS_ENV_VAR, "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-        else:
-            workers = os.cpu_count() or 1
+        workers = os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return workers

@@ -48,12 +48,10 @@ __all__ = [
     "PresetResult",
     "build_initial_state",
     "matching_oracles",
-    "SWEEP_PARAMS",
     "preset_config",
     "run_experiment",
     "run_preset",
     "sweep_residuals",
-    "table_metadata",
 ]
 
 DEFAULT_SEED = 101

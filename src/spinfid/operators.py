@@ -20,17 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "PAULI",
-    "pauli",
-    "embed",
-    "expectation",
-    "expm_hermitian",
-    "Propagator",
-    "DensityMatrix",
-    "require_hermitian",
-    "require_square",
-]
+__all__ = ["pauli", "embed", "expm_hermitian", "Propagator", "DensityMatrix"]
 
 HERMITICITY_TOL = 1e-10
 
@@ -80,18 +70,6 @@ def embed(op: np.ndarray, site: int, n_spins: int) -> np.ndarray:
         raise ValueError(f"site {site} out of range for {n_spins} spins")
     out = np.kron(np.eye(2**site, dtype=complex), op)
     return np.kron(out, np.eye(2 ** (n_spins - site - 1), dtype=complex))
-
-
-def expectation(rho: np.ndarray | "DensityMatrix", observable: np.ndarray) -> float:
-    """Real expectation value Tr(rho * observable) of a Hermitian observable."""
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else rho
-    if mat.shape != observable.shape:
-        raise ValueError(f"dimension mismatch: state {mat.shape} vs observable {observable.shape}")
-    require_hermitian(observable)
-    value = np.trace(mat @ observable)
-    if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
-        raise ValueError(f"expectation value has a non-negligible imaginary part: {value}")
-    return float(value.real)
 
 
 @dataclass(frozen=True)
@@ -159,4 +137,11 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
     def expect(self, observable: np.ndarray) -> float:
-        return expectation(self.matrix, observable)
+        """Real expectation value Tr(rho * observable) of a Hermitian observable."""
+        if self.matrix.shape != observable.shape:
+            raise ValueError(f"dimension mismatch: state {self.matrix.shape} vs observable {observable.shape}")
+        require_hermitian(observable)
+        value = np.trace(self.matrix @ observable)
+        if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
+            raise ValueError(f"expectation value has a non-negligible imaginary part: {value}")
+        return float(value.real)

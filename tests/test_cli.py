@@ -116,6 +116,25 @@ class TestPreset:
                 outputs.append(out.read_bytes())
         assert all(data == outputs[0] for data in outputs[1:])
 
+    def test_zero_workers_is_usage_error(self, tmp_path):
+        result = run_cli("preset", "fig2-pps", "--workers", "0", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "worker count" in result.stderr
+
+    def test_worker_count_ignores_environment(self, tmp_path):
+        # The worker count is --workers or the CPU count; no environment
+        # variable can change or break a run.
+        outputs = []
+        for extra_env in ({}, {"SPINFID_WORKERS": "abc"}):
+            out = tmp_path / f"run{len(outputs)}.csv"
+            result = run_cli(
+                "preset", "fig2-pps", "--n-realizations", "100", "--output", str(out),
+                cwd=tmp_path, extra_env=extra_env,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestSimulate:
     def test_small_run_writes_trace_with_oracle(self, tmp_path):

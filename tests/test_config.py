@@ -155,6 +155,10 @@ class TestRejection:
         cfg = parse_config(with_key("system", "n_spins = 2\ndelta = 0, 50\nj = 10"))
         assert cfg.system.n_spins == 2
 
+    def test_one_spin_needs_no_couplings(self):
+        cfg = parse_config(with_key("system", "n_spins = 1\ndelta = 0"))
+        assert cfg.system == preset_config("fig1").system
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -230,3 +234,37 @@ class TestPresets:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="preset"):
             preset_config("fig9")
+
+    @pytest.mark.parametrize(
+        "name, keys",
+        [
+            ("fig1", {"system": "n_spins = 1\ndelta = 0\nj ="}),
+            ("fig2-thermal", {}),
+            ("fig2-pps", {"state": "kind = pps"}),
+            ("fig2-pps-x10", {"system": "magnification = 10", "state": "kind = pps"}),
+            ("fig3", {"state": "kind = pps"}),
+            (
+                "fig4a",
+                {
+                    "state": "kind = pps",
+                    "ensemble": "n_realizations = 10000",
+                    "run": "hamiltonian = heisenberg\nobservable = total",
+                },
+            ),
+            (
+                "fig4b",
+                {
+                    "state": "kind = pps",
+                    "ensemble": "n_realizations = 10000",
+                    "run": "hamiltonian = heisenberg\nobservable = total",
+                },
+            ),
+        ],
+    )
+    def test_preset_is_stock_document_plus_keys(self, name, keys):
+        # The stock run is spelled out twice, as parse_config's defaults and
+        # in preset_config; this keeps the two from drifting apart.
+        doc = MINIMAL + ("[run]\n" if "run" in keys else "")
+        for section, lines in keys.items():
+            doc = doc.replace(f"[{section}]\n", f"[{section}]\n{lines}\n")
+        assert parse_config(doc) == preset_config(name)

@@ -297,6 +297,11 @@ class TestDeterminism:
                        n_realizations=64, seed=22)
         assert not np.array_equal(a.mx, b.mx)
 
+    def test_zero_workers_rejected(self, pps_system, default_grid):
+        with pytest.raises(ValueError, match="worker count"):
+            evolve_fid(pps_system, pulsed_pps(pps_system), NoiseModel("lorentzian", 28.0), default_grid,
+                       n_realizations=8, seed=1, workers=0)
+
     @given(
         workers=st.integers(1, 4),
         n=st.integers(2 * spinfid.engine._CHUNK_DRAWS + 1, 4 * spinfid.engine._CHUNK_DRAWS),

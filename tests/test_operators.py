@@ -11,7 +11,6 @@ from spinfid import (
     DensityMatrix,
     Propagator,
     embed,
-    expectation,
     expm_hermitian,
     pauli,
 )
@@ -144,6 +143,15 @@ class TestDensityMatrix:
     def test_expectation_of_known_state(self):
         one = np.zeros((2, 2), dtype=complex)
         one[1, 1] = 1.0
-        assert abs(expectation(one, pauli("z")) + 1.0) < 1e-14
         rho = DensityMatrix(one)
         assert abs(rho.expect(pauli("z")) + 1.0) < 1e-14
+
+    def test_expectation_rejects_mismatched_dimension(self):
+        rho = DensityMatrix(np.eye(4) / 4.0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            rho.expect(pauli("z"))
+
+    def test_expectation_rejects_non_hermitian_observable(self):
+        rho = DensityMatrix(np.eye(2) / 2.0)
+        with pytest.raises(ValueError, match="Hermitian"):
+            rho.expect(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
