@@ -24,7 +24,6 @@ import numpy as np
 from .config import ConfigError, RunConfig, parse_config_file
 from .csvio import CsvFormatError, write_csv
 from .experiments import (
-    DEFAULT_SEED,
     PRESET_NAMES,
     SWEEP_PARAMS,
     NumericInvariantError,
@@ -124,13 +123,9 @@ def _cmd_preset(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.name is None:
         raise ConfigError("preset: a name is required unless --list is given")
-    result = run_preset(
-        args.name,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        n_realizations=args.n_realizations,
-        output=args.output,
-        workers=args.workers,
-    )
+    given = {key: getattr(args, key) for key in ("seed", "n_realizations", "output")}
+    overrides = {key: value for key, value in given.items() if value is not None}
+    result = run_preset(args.name, workers=args.workers, **overrides)
     if result.table is not None:
         _print_table(result.table)
     for path in result.paths:

@@ -36,8 +36,9 @@ A run is described by a flat-sectioned key = value document::
 Frequencies are Hz, times are seconds, angles are radians, and the seed
 is an unsigned 64-bit decimal.  Every key is optional and falls back to
 the documented default, but unknown sections or keys are an error, as is
-any malformed value.  ``serialize_config`` writes every field explicitly
-with round-trippable number formatting, so parse(serialize(c)) == c.
+any malformed or empty value (an empty ``delta`` or ``j`` is the empty
+list).  ``serialize_config`` writes every field explicitly with
+round-trippable number formatting, so parse(serialize(c)) == c.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ import configparser
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
-from .engine import HAMILTONIAN_KINDS, ObservableSpec, TimeGrid
+from .engine import DEFAULT_N_REALIZATIONS, DEFAULT_SEED, HAMILTONIAN_KINDS, ObservableSpec, TimeGrid
 from .hamiltonians import SpinSystemSpec
 from .noise import NOISE_KINDS, NoiseModel
 from .states import PulseSpec, parse_label
@@ -57,24 +59,6 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file", "ser
 MAX_SEED = 2**64 - 1
 
 STATE_KINDS = ("thermal", "pps")
-
-_KNOWN_KEYS = {
-    "system": (
-        "n_spins",
-        "delta",
-        "j",
-        "polarization",
-        "magnification",
-        "omega0",
-        "coupling_form",
-        "angular_units",
-    ),
-    "noise": ("kind", "width"),
-    "state": ("kind", "label", "pulse_target", "pulse_axis", "pulse_angle"),
-    "grid": ("t_max", "n_points"),
-    "ensemble": ("n_realizations", "seed"),
-    "run": ("hamiltonian", "observable", "output"),
-}
 
 # [system] coupling_form only sets the default of [run] hamiltonian.
 _COUPLING_FORMS = {"ising": "effective", "heisenberg": "heisenberg"}
@@ -157,17 +141,82 @@ def _parse_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
     return tuple(_parse_float(section, key, piece) for piece in items)
 
 
-def _parse_observable(raw: str) -> ObservableSpec:
-    text = raw.strip().lower()
+def _parse_text(section: str, key: str, raw: str) -> str:
+    return raw
+
+
+def _parse_word(section: str, key: str, raw: str) -> str:
+    return raw.strip().lower()
+
+
+def _parse_choice(choices: tuple[str, ...]) -> Callable[[str, str, str], str]:
+    def parse(section: str, key: str, raw: str) -> str:
+        word = _parse_word(section, key, raw)
+        if word not in choices:
+            raise ConfigError(f"[{section}] {key} must be one of {choices}, got {word!r}")
+        return word
+
+    return parse
+
+
+def _parse_observable(section: str, key: str, raw: str) -> ObservableSpec:
+    text = _parse_word(section, key, raw)
     if text == "total":
         return ObservableSpec.total()
     if text.startswith("single:"):
-        return ObservableSpec.single(_parse_int("run", "observable", text.split(":", 1)[1]))
-    raise ConfigError(f"[run] observable: expected 'total' or 'single:<spin>', got {raw!r}")
+        return ObservableSpec.single(_parse_int(section, key, text.split(":", 1)[1]))
+    raise ConfigError(f"[{section}] {key}: expected 'total' or 'single:<spin>', got {raw!r}")
+
+
+# Every key a document may set, with the reader of its value.  A key that
+# names a field of the dataclass behind its section is passed on as is.
+_KEYS: dict[str, dict[str, Callable[[str, str, str], object]]] = {
+    "system": {
+        "n_spins": _parse_int,
+        "delta": _parse_float_list,
+        "j": _parse_float_list,
+        "polarization": _parse_float,
+        "magnification": _parse_float,
+        "omega0": _parse_float,
+        "coupling_form": _parse_choice(tuple(_COUPLING_FORMS)),
+        "angular_units": _parse_bool,
+    },
+    "noise": {"kind": _parse_choice(NOISE_KINDS), "width": _parse_float},
+    "state": {
+        "kind": _parse_choice(STATE_KINDS),
+        "label": _parse_text,
+        "pulse_target": _parse_int,
+        "pulse_axis": _parse_word,
+        "pulse_angle": _parse_float,
+    },
+    "grid": {"t_max": _parse_float, "n_points": _parse_int},
+    "ensemble": {"n_realizations": _parse_int, "seed": _parse_int},
+    "run": {"hamiltonian": _parse_word, "observable": _parse_observable, "output": _parse_text},
+}
+
+
+def _read_section(parser: configparser.ConfigParser, section: str) -> dict[str, object]:
+    """Parsed values of the keys a document sets in one section."""
+    if not parser.has_section(section):
+        return {}
+    values = {}
+    for key, raw in parser[section].items():
+        if key not in _KEYS[section]:
+            raise ConfigError(f"unknown key {key!r} in section [{section}]")
+        read = _KEYS[section][key]
+        if not raw and read is not _parse_float_list:
+            raise ConfigError(f"[{section}] {key}: empty value; omit the key to take its default")
+        values[key] = read(section, key, raw)
+    return values
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse a configuration document; reject unknown keys and bad values."""
+    """Parse a configuration document; reject unknown keys and bad values.
+
+    Only the keys the document sets are passed on.  Every other field
+    takes the default of the dataclass that owns it, or of the rules
+    below where the default depends on other keys.
+    """
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     try:
         parser.read_string(text)
@@ -185,109 +234,50 @@ def parse_config(text: str) -> RunConfig:
         )
 
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    def get(section: str, key: str) -> str | None:
-        if parser.has_section(section) and key in parser[section]:
-            return parser[section][key]
-        return None
+    system, noise, state, grid, ensemble, run = (_read_section(parser, section) for section in _KEYS)
+    state_kind = state.pop("kind", "thermal")
+    coupling_form = system.pop("coupling_form", "ising")
+    # [system] omega0 only feeds the lab-frame builder, which no run uses.
+    system.pop("omega0", None)
 
-    state_kind = (get("state", "kind") or "thermal").strip().lower()
-    if state_kind not in STATE_KINDS:
-        raise ConfigError(f"[state] kind must be one of {STATE_KINDS}, got {state_kind!r}")
+    stock = SpinSystemSpec()
+    n_spins = system.setdefault("n_spins", stock.n_spins)
+    if n_spins != stock.n_spins:
+        if n_spins == 1:
+            system.setdefault("j", ())  # a lone spin has no pairs
+        for key in ("delta", "j"):
+            if key not in system:
+                raise ConfigError(f"[system] {key} is required for n_spins = {n_spins}")
+    if state_kind == "pps":
+        system.setdefault("polarization", 1.0)
 
-    n_spins_raw = get("system", "n_spins")
-    n_spins = _parse_int("system", "n_spins", n_spins_raw) if n_spins_raw else 3
-
-    defaults = SpinSystemSpec() if n_spins == 3 else None
-    delta_raw = get("system", "delta")
-    if delta_raw is not None:
-        delta = _parse_float_list("system", "delta", delta_raw)
-    elif defaults is not None:
-        delta = defaults.delta
-    else:
-        raise ConfigError(f"[system] delta is required for n_spins = {n_spins}")
-    j_raw = get("system", "j")
-    if j_raw is not None:
-        j = _parse_float_list("system", "j", j_raw)
-    elif defaults is not None:
-        j = defaults.j
-    elif n_spins == 1:
-        j = ()  # a lone spin has no pairs
-    else:
-        raise ConfigError(f"[system] j is required for n_spins = {n_spins}")
-
-    polarization_raw = get("system", "polarization")
-    if polarization_raw is not None:
-        polarization = _parse_float("system", "polarization", polarization_raw)
-    else:
-        polarization = 1.0 if state_kind == "pps" else -1.0
-
-    angular = _parse_bool("system", "angular_units", get("system", "angular_units") or "false")
+    label = state.pop("label", None)
+    if label is None:
+        if n_spins == stock.n_spins:
+            label = "101"
+        elif state_kind == "pps":
+            raise ConfigError(f"[state] label is required for a pps state with n_spins = {n_spins}")
+        else:
+            label = "0" * n_spins
+    state.setdefault("pulse_target", n_spins - 1)
 
     try:
-        system = SpinSystemSpec(
-            n_spins=n_spins,
-            delta=delta,
-            j=j,
-            polarization=polarization,
-            magnification=_parse_float("system", "magnification", get("system", "magnification") or "1"),
-            angular_units=angular,
-        )
-        # [system] omega0 only feeds the lab-frame builder, which no run uses.
-        _parse_float("system", "omega0", get("system", "omega0") or "0")
-        coupling_form = (get("system", "coupling_form") or "ising").strip().lower()
-        if coupling_form not in _COUPLING_FORMS:
-            raise ConfigError(f"[system] coupling_form must be one of {tuple(_COUPLING_FORMS)}, got {coupling_form!r}")
-        noise_kind = (get("noise", "kind") or "lorentzian").strip().lower()
-        if noise_kind not in NOISE_KINDS:
-            raise ConfigError(f"[noise] kind must be one of {NOISE_KINDS}, got {noise_kind!r}")
-        noise = NoiseModel(
-            kind=noise_kind,
-            width=_parse_float("noise", "width", get("noise", "width") or "28"),
-            angular_units=angular,
-        )
-        pulse = PulseSpec(
-            target=_parse_int("state", "pulse_target", get("state", "pulse_target") or str(n_spins - 1)),
-            axis=(get("state", "pulse_axis") or "y").strip().lower(),
-            angle=_parse_float("state", "pulse_angle", get("state", "pulse_angle") or repr(math.pi / 2)),
-        )
-        grid = TimeGrid(
-            t_max=_parse_float("grid", "t_max", get("grid", "t_max") or "0.024"),
-            n_points=_parse_int("grid", "n_points", get("grid", "n_points") or "481"),
-        )
-        hamiltonian_raw = get("run", "hamiltonian")
-        hamiltonian = hamiltonian_raw.strip().lower() if hamiltonian_raw else _COUPLING_FORMS[coupling_form]
-        observable_raw = get("run", "observable")
-        observable = (
-            _parse_observable(observable_raw)
-            if observable_raw
-            else ObservableSpec.single(n_spins - 1)
-        )
-        label = get("state", "label")
-        if label is None:
-            if n_spins == 3:
-                label = "101"
-            elif state_kind == "pps":
-                raise ConfigError(f"[state] label is required for a pps state with n_spins = {n_spins}")
-            else:
-                label = "0" * n_spins
+        spec = SpinSystemSpec(**system)
         return RunConfig(
-            system=system,
-            noise=noise,
+            system=spec,
+            noise=NoiseModel(**noise, angular_units=spec.angular_units),
             state_kind=state_kind,
             label=label,
-            pulse=pulse,
-            grid=grid,
-            n_realizations=_parse_int("ensemble", "n_realizations", get("ensemble", "n_realizations") or "100000"),
-            seed=_parse_int("ensemble", "seed", get("ensemble", "seed") or "101"),
-            hamiltonian=hamiltonian,
-            observable=observable,
-            output=get("run", "output"),
+            pulse=PulseSpec(**{key.removeprefix("pulse_"): value for key, value in state.items()}),
+            grid=TimeGrid(**grid),
+            n_realizations=ensemble.get("n_realizations", DEFAULT_N_REALIZATIONS),
+            seed=ensemble.get("seed", DEFAULT_SEED),
+            hamiltonian=run.get("hamiltonian", _COUPLING_FORMS[coupling_form]),
+            observable=run.get("observable", ObservableSpec.single(n_spins - 1)),
+            output=run.get("output"),
         )
     except ConfigError:
         raise

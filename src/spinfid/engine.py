@@ -69,6 +69,7 @@ from .noise import NoiseModel
 from .operators import DensityMatrix, embed, pauli
 
 __all__ = [
+    "DEFAULT_SEED",
     "TimeGrid",
     "ObservableSpec",
     "FidTrace",
@@ -77,6 +78,10 @@ __all__ = [
 ]
 
 HAMILTONIAN_KINDS = ("effective", "heisenberg")
+
+# Seed and ensemble size of a run that does not set them.
+DEFAULT_SEED = 101
+DEFAULT_N_REALIZATIONS = 100_000
 
 # Draws per chunk.  Chunks are the parallel grain and their boundaries fix
 # the reduction order, so changing this changes result bytes.
@@ -311,8 +316,8 @@ def evolve_fid(
     noise: NoiseModel,
     grid: TimeGrid,
     observable: ObservableSpec | None = None,
-    n_realizations: int = 100_000,
-    seed: int = 101,
+    n_realizations: int = DEFAULT_N_REALIZATIONS,
+    seed: int = DEFAULT_SEED,
     hamiltonian: str = "effective",
     workers: int | None = None,
 ) -> FidTrace:

@@ -32,16 +32,14 @@ from .analytic import (
     fid_thermal,
     residual_ratio_analytic,
 )
-from .config import RunConfig, config_hash
+from .config import RunConfig, config_hash, parse_config
 from .csvio import emit_trace_csv, write_csv
-from .engine import FidTrace, ObservableSpec, TimeGrid, evolve_fid, residual_ratio
-from .hamiltonians import SpinSystemSpec
-from .noise import NOISE_KINDS, NoiseModel
+from .engine import DEFAULT_SEED, FidTrace, evolve_fid, residual_ratio
+from .noise import NOISE_KINDS
 from .operators import DensityMatrix
-from .states import PulseSpec, apply_pulse, pps_state, thermal_state
+from .states import apply_pulse, pps_state, thermal_state
 
 __all__ = [
-    "DEFAULT_SEED",
     "PRESET_NAMES",
     "ExperimentResult",
     "NumericInvariantError",
@@ -54,11 +52,28 @@ __all__ = [
     "sweep_residuals",
 ]
 
-DEFAULT_SEED = 101
+# Each preset is the stock document (the five required sections, every
+# key at its default) plus these keys, by section.  Beyond the secular
+# approximation the flip-flop terms push a little coherence onto the
+# spectator spins; only the total transverse readout sees the resulting
+# first-order beats, so the exchange presets read out the total.
+_PPS = {"state": "kind = pps"}
+_EXCHANGE = {
+    "state": "kind = pps",
+    "ensemble": "n_realizations = 10000",
+    "run": "hamiltonian = heisenberg\nobservable = total",
+}
+_PRESET_KEYS: dict[str, dict[str, str]] = {
+    "fig1": {"system": "n_spins = 1\ndelta = 0\nj ="},
+    "fig2-thermal": {},
+    "fig2-pps": _PPS,
+    "fig2-pps-x10": {"system": "magnification = 10", **_PPS},
+    "fig3": _PPS,
+    "fig4a": _EXCHANGE,
+    "fig4b": _EXCHANGE,
+}
 
-PRESET_NAMES = ("fig1", "fig2-thermal", "fig2-pps", "fig2-pps-x10", "fig3", "fig4a", "fig4b")
-
-_HALF_PI = float(np.pi / 2)
+PRESET_NAMES = tuple(_PRESET_KEYS)
 
 
 class NumericInvariantError(RuntimeError):
@@ -103,7 +118,7 @@ def matching_oracles(config: RunConfig) -> dict[str, np.ndarray]:
     total readout of the stock pseudo-pure ``101`` preparation only.
     """
     spec, pulse, observable = config.system, config.pulse, config.observable
-    if pulse.axis != "y" or not np.isclose(pulse.angle, _HALF_PI):
+    if pulse.axis != "y" or not np.isclose(pulse.angle, np.pi / 2):
         return {}
     if observable.kind == "single" and observable.index != pulse.target:
         return {}
@@ -171,30 +186,12 @@ def preset_config(
     """Configuration behind a named preset (base config for multi-run ones)."""
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    state_kind = "thermal" if name in ("fig1", "fig2-thermal") else "pps"
-    polarization = 1.0 if state_kind == "pps" else -1.0
-    # Beyond the secular approximation the flip-flop terms push a little
-    # coherence onto the spectator spins; only the total transverse
-    # readout sees the resulting first-order beats.
-    exchange = name in ("fig4a", "fig4b")
-    if name == "fig1":
-        system, label, spin = SpinSystemSpec(n_spins=1, delta=(0.0,), j=(), polarization=polarization), "0", 0
-    else:
-        magnification = 10.0 if name == "fig2-pps-x10" else 1.0
-        system, label, spin = SpinSystemSpec(magnification=magnification, polarization=polarization), "101", 2
-    return RunConfig(
-        system=system,
-        noise=NoiseModel(kind="lorentzian", width=28.0),
-        state_kind=state_kind,
-        label=label,
-        pulse=PulseSpec(target=spin, axis="y", angle=_HALF_PI),
-        grid=TimeGrid(),
-        n_realizations=n_realizations or (10_000 if exchange else 100_000),
-        seed=seed,
-        hamiltonian="heisenberg" if exchange else "effective",
-        observable=ObservableSpec.total() if exchange else ObservableSpec.single(spin),
-        output=output,
-    )
+    keys = _PRESET_KEYS[name]
+    sections = ("system", "noise", "state", "grid", "ensemble", "run")
+    config = parse_config("".join(f"[{section}]\n{keys.get(section, '')}\n" for section in sections))
+    if n_realizations is None:
+        n_realizations = config.n_realizations
+    return replace(config, seed=seed, n_realizations=n_realizations, output=output)
 
 
 def table_metadata(base: RunConfig) -> dict[str, object]:
@@ -224,24 +221,15 @@ def run_preset(
     base = preset_config(name, seed=seed, n_realizations=n_realizations, output=stem)
 
     if name == "fig3":
+        # Theory only: the envelopes of the fig2-thermal and fig2-pps runs.
         t = base.grid.points
-        thermal_spec = replace(base.system, polarization=-1.0)
-        pps_spec = replace(base.system, polarization=1.0)
+        thermal = preset_config("fig2-thermal")
         columns = {
-            "oracle_thermal_mperp": fid_thermal(thermal_spec, base.noise, t, observed=2)[2],
-            "oracle_pps_mperp": fid_pps(pps_spec, base.noise, t, label="101", observed=2)[2],
+            "oracle_thermal_mperp": fid_thermal(thermal.system, thermal.noise, t, observed=thermal.pulse.target)[2],
+            "oracle_pps_mperp": fid_pps(base.system, base.noise, t, label=base.label, observed=base.pulse.target)[2],
         }
-        write_csv(
-            stem,
-            ["t_s", *columns],
-            [t, *columns.values()],
-            metadata={
-                "seed": 0,
-                "n_realizations": 0,
-                "polarization": 1.0,
-                "config_hash": config_hash(base),
-            },
-        )
+        metadata = {**table_metadata(base), "seed": 0, "n_realizations": 0}
+        write_csv(stem, ["t_s", *columns], [t, *columns.values()], metadata=metadata)
         return PresetResult(name=name, paths=(stem,))
 
     if name == "fig4a":

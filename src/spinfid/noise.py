@@ -50,8 +50,8 @@ TWO_PI = 2.0 * math.pi
 class NoiseModel:
     """Distribution family and scale of the static dephasing offset."""
 
-    kind: str
-    width: float
+    kind: str = "lorentzian"
+    width: float = 28.0
     angular_units: bool = False
 
     def __post_init__(self) -> None:

@@ -22,7 +22,7 @@ from .analytic import fid_pps_single, fid_thermal_single
 from .config import parse_config, serialize_config
 from .csvio import emit_trace_csv, load_csv
 from .engine import ObservableSpec, TimeGrid, _chunk_bounds, evolve_fid
-from .experiments import preset_config, run_experiment
+from .experiments import PRESET_NAMES, preset_config, run_experiment
 from .hamiltonians import (
     SpinSystemSpec,
     build_effective,
@@ -103,7 +103,7 @@ def _check_hamiltonian_structure() -> str:
 def _check_states() -> str:
     spec = SpinSystemSpec(polarization=0.5)
     rho_t = thermal_state(spec)
-    rho_p = pps_state(spec, "101")
+    rho_p = pps_state(spec)
     uniform = (1.0 - 0.5) / 8.0
     want = np.sort(np.concatenate([np.full(7, uniform), [uniform + 0.5]]))
     got = np.sort(np.linalg.eigvalsh(rho_p.matrix))
@@ -123,7 +123,7 @@ def _check_states() -> str:
 
 def _check_noise_determinism() -> str:
     for kind in ("white", "gaussian", "lorentzian"):
-        model = NoiseModel(kind=kind, width=28.0)
+        model = NoiseModel(kind)
         whole = model.sample_block(11, 0, 100)
         tail = model.sample_block(11, 50, 50)
         if not np.array_equal(whole[50:], tail):
@@ -132,10 +132,10 @@ def _check_noise_determinism() -> str:
 
 
 def _check_noise_statistics() -> str:
-    t = np.linspace(0.0, 0.024, 97)
+    t = TimeGrid(n_points=97).points
     worst = 0.0
     for kind in ("white", "gaussian", "lorentzian"):
-        model = NoiseModel(kind=kind, width=28.0)
+        model = NoiseModel(kind)
         etas = model.sample_block(7, 0, 20_000)
         mc = np.cos(np.outer(etas, t)).mean(axis=0)
         worst = max(worst, float(np.max(np.abs(mc - model.avg_cos(t)))))
@@ -160,7 +160,7 @@ def _per_draw_reference(spec: SpinSystemSpec, state_kind: str, etas: np.ndarray,
 
 def _check_engine_closed_form() -> str:
     grid = TimeGrid(n_points=49)
-    noise = NoiseModel(kind="gaussian", width=28.0)
+    noise = NoiseModel("gaussian")
     worst = 0.0
     for state_kind, polarization in (("thermal", -1.0), ("pps", 1.0)):
         spec = SpinSystemSpec(polarization=polarization)
@@ -184,7 +184,7 @@ def _check_engine_closed_form() -> str:
 def _check_path_agreement() -> str:
     spec = SpinSystemSpec(magnification=5.0, polarization=-1.0)
     grid = TimeGrid(n_points=50)
-    noise = NoiseModel(kind="lorentzian", width=28.0)
+    noise = NoiseModel()
     initial = apply_pulse(thermal_state(spec), PulseSpec(target=2))
     n_draws, seed = 4, 31
     trace = evolve_fid(
@@ -210,8 +210,8 @@ def _check_path_agreement() -> str:
 def _check_worker_determinism() -> str:
     spec = SpinSystemSpec(polarization=1.0)
     grid = TimeGrid()
-    noise = NoiseModel(kind="lorentzian", width=28.0)
-    initial = apply_pulse(pps_state(spec, "101"), PulseSpec(target=2))
+    noise = NoiseModel()
+    initial = apply_pulse(pps_state(spec), PulseSpec(target=2))
     kwargs = dict(n_realizations=10_000, seed=5)
     chunks = len(_chunk_bounds(kwargs["n_realizations"]))
     if chunks < 3:
@@ -225,11 +225,11 @@ def _check_worker_determinism() -> str:
 
 def _check_coupling_invariance() -> str:
     grid = TimeGrid(n_points=97)
-    noise = NoiseModel(kind="lorentzian", width=28.0)
+    noise = NoiseModel()
     traces = []
     for magnification in (1.0, 10.0):
         spec = SpinSystemSpec(polarization=1.0, magnification=magnification)
-        initial = apply_pulse(pps_state(spec, "101"), PulseSpec(target=2))
+        initial = apply_pulse(pps_state(spec), PulseSpec(target=2))
         traces.append(evolve_fid(spec, initial, noise, grid, n_realizations=500, seed=17))
     worst = float(np.max(np.abs(traces[0].mperp - traces[1].mperp)))
     if worst > 1e-9:
@@ -238,11 +238,11 @@ def _check_coupling_invariance() -> str:
 
 
 def _check_config_roundtrip() -> str:
-    config = replace(preset_config("fig2-pps-x10"), output="trace.csv")
-    text = serialize_config(config)
-    if parse_config(text) != config:
-        raise AssertionError("parse(serialize(config)) != config")
-    return "serialize/parse round-trip is the identity"
+    for name in PRESET_NAMES:
+        config = preset_config(name, output="trace.csv")
+        if parse_config(serialize_config(config)) != config:
+            raise AssertionError(f"parse(serialize(config)) != config for preset {name}")
+    return f"serialize/parse round-trip is the identity for all {len(PRESET_NAMES)} presets"
 
 
 def _check_csv_roundtrip() -> str:

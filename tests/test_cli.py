@@ -121,6 +121,13 @@ class TestPreset:
         assert result.returncode == 2
         assert "worker count" in result.stderr
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_nonpositive_realization_count_is_usage_error(self, tmp_path, count):
+        result = run_cli("preset", "fig2-pps", "--n-realizations", count, cwd=tmp_path)
+        assert result.returncode == 2
+        assert "n_realizations" in result.stderr
+        assert not (tmp_path / "fig2-pps.csv").exists()
+
     def test_worker_count_ignores_environment(self, tmp_path):
         # The worker count is --workers or the CPU count; no environment
         # variable can change or break a run.
@@ -173,6 +180,13 @@ class TestSimulate:
         result = run_cli("simulate", str(bad), cwd=tmp_path)
         assert result.returncode == 2
         assert "config error" in result.stderr
+
+    def test_empty_output_value_exits_2(self, tmp_path):
+        ini = tmp_path / "small.ini"
+        ini.write_text(SMALL_INI + "[run]\noutput =\n")
+        result = run_cli("simulate", str(ini), cwd=tmp_path)
+        assert result.returncode == 2
+        assert "output" in result.stderr
 
     def test_missing_file_exits_4(self, tmp_path):
         result = run_cli("simulate", "missing.ini", cwd=tmp_path)

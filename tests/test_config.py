@@ -141,6 +141,7 @@ class TestRejection:
             (MINIMAL + "[run]\nhamiltonian = dipolar\n", "hamiltonian"),
             (with_key("system", "coupling_form = dipolar"), "coupling_form"),
             (with_key("system", "delta = 0, nan, 5"), "delta"),
+            (with_key("system", "delta ="), "expected 3 offsets, got 0"),
             (with_key("system", "omega0 = fast"), "omega0"),
             (with_key("system", "omega0 = inf"), "omega0"),
         ],
@@ -148,6 +149,26 @@ class TestRejection:
     def test_invalid_document_rejected(self, doc, fragment):
         with pytest.raises(ConfigError, match=fragment):
             parse_config(doc)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            (section, key)
+            for section, keys in {
+                "system": ("n_spins", "polarization", "magnification", "omega0", "coupling_form", "angular_units"),
+                "noise": ("kind", "width"),
+                "state": ("kind", "label", "pulse_target", "pulse_axis", "pulse_angle"),
+                "grid": ("t_max", "n_points"),
+                "ensemble": ("n_realizations", "seed"),
+                "run": ("hamiltonian", "observable", "output"),
+            }.items()
+            for key in keys
+        ],
+    )
+    def test_empty_scalar_value_rejected(self, section, key):
+        doc = MINIMAL + "[run]\n"
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: empty value"):
+            parse_config(doc.replace(f"[{section}]\n", f"[{section}]\n{key} =\n"))
 
     def test_spin_count_change_requires_matching_parameters(self):
         with pytest.raises(ConfigError):
@@ -262,9 +283,25 @@ class TestPresets:
         ],
     )
     def test_preset_is_stock_document_plus_keys(self, name, keys):
-        # The stock run is spelled out twice, as parse_config's defaults and
-        # in preset_config; this keeps the two from drifting apart.
+        # Each preset is the stock document plus the keys listed here.
         doc = MINIMAL + ("[run]\n" if "run" in keys else "")
         for section, lines in keys.items():
             doc = doc.replace(f"[{section}]\n", f"[{section}]\n{lines}\n")
         assert parse_config(doc) == preset_config(name)
+
+    # Read from the presets before they became config documents; a stock
+    # value that moves changes the hash of every preset that uses it.
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("fig1", "d4198f0ad52f462761eb87879e684011b490c8936f939f60c4335623a999bb50"),
+            ("fig2-thermal", "d462fddbf78462fdd8acc4afb14740bb788930640493d0c07ea96436a8457b01"),
+            ("fig2-pps", "5260573629295bf39c8c5c4a82d5ac6c95467aaed70dbd56f8d89971617b9d54"),
+            ("fig2-pps-x10", "fd5d0dfa592a3ad5758ae90ccc6cf4b32bd29b9a8efe179a4da5ce76a9541116"),
+            ("fig3", "5260573629295bf39c8c5c4a82d5ac6c95467aaed70dbd56f8d89971617b9d54"),
+            ("fig4a", "76d3db190a9a3d98cb4aae820da3f4803e2c13c3f0b7930a169f0378bad2f786"),
+            ("fig4b", "76d3db190a9a3d98cb4aae820da3f4803e2c13c3f0b7930a169f0378bad2f786"),
+        ],
+    )
+    def test_preset_config_hash_pinned(self, name, digest):
+        assert config_hash(preset_config(name)) == digest

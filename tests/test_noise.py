@@ -24,6 +24,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             NoiseModel("white", -1.0)
 
+    def test_stock_model_is_the_default(self):
+        assert NoiseModel() == NoiseModel("lorentzian", 28.0)
+
     def test_width_rad_applies_two_pi(self):
         assert NoiseModel("gaussian", 28.0).width_rad == TWO_PI * 28.0
 
