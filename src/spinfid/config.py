@@ -35,10 +35,12 @@ A run is described by a flat-sectioned key = value document::
 
 Frequencies are Hz, times are seconds, angles are radians, and the seed
 is an unsigned 64-bit decimal.  Every key is optional and falls back to
-the documented default, but unknown sections or keys are an error, as is
-any malformed or empty value (an empty ``delta`` or ``j`` is the empty
-list).  ``serialize_config`` writes every field explicitly with
-round-trippable number formatting, so parse(serialize(c)) == c.
+the documented default (the readout ``observable`` defaults to the
+pulsed spin, ``single:<pulse_target>``), but unknown sections or keys
+are an error, as is any malformed or empty value (an empty ``delta`` or
+``j`` is the empty list).  ``serialize_config`` writes every field
+explicitly with round-trippable number formatting, so
+parse(serialize(c)) == c.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ _COUPLING_FORMS = {"ising": "effective", "heisenberg": "heisenberg"}
 
 # Every config document must declare these sections; [run] stays optional.
 _REQUIRED_SECTIONS = ("system", "noise", "state", "grid", "ensemble")
+
+# configparser copies its default section's keys into every section.  A
+# header is one line, so no document can name this one, and a [DEFAULT]
+# section is reported as unknown instead.
+_NO_SECTION = "\n"
 
 
 class ConfigError(ValueError):
@@ -100,12 +107,13 @@ class RunConfig:
             raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
         if self.n_realizations < 1:
             raise ConfigError(f"n_realizations must be >= 1, got {self.n_realizations}")
-        # Fail on out-of-range targets here rather than mid-run.
-        self.observable.sites(self.system.n_spins)
+        # Fail on out-of-range targets here rather than mid-run.  The pulse
+        # comes first: the readout defaults to the pulsed spin.
         if self.pulse.target >= self.system.n_spins:
             raise ConfigError(
                 f"pulse target {self.pulse.target} out of range for {self.system.n_spins} spins"
             )
+        self.observable.sites(self.system.n_spins)
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:
@@ -217,7 +225,7 @@ def parse_config(text: str) -> RunConfig:
     takes the default of the dataclass that owns it, or of the rules
     below where the default depends on other keys.
     """
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
+    parser = configparser.ConfigParser(interpolation=None, strict=True, default_section=_NO_SECTION)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -276,7 +284,7 @@ def parse_config(text: str) -> RunConfig:
             n_realizations=ensemble.get("n_realizations", DEFAULT_N_REALIZATIONS),
             seed=ensemble.get("seed", DEFAULT_SEED),
             hamiltonian=run.get("hamiltonian", _COUPLING_FORMS[coupling_form]),
-            observable=run.get("observable", ObservableSpec.single(n_spins - 1)),
+            observable=run.get("observable", ObservableSpec.single(state["pulse_target"])),
             output=run.get("output"),
         )
     except ConfigError:

@@ -23,6 +23,12 @@ Sampling is counter based and therefore a pure function of
 under key ``seed`` and converts the block's first uniform draw through
 the distribution's quantile function.  Results do not depend on batch
 boundaries, call order, or worker count.
+
+The Gaussian quantile is ``_ndtri``, a numpy port of the Cephes ``ndtri``
+(S. L. Moshier, Cephes Mathematical Library) with its coefficients and
+Horner order, so the package needs NumPy alone.  It agrees with
+``scipy.special.ndtri`` bit for bit except where ``np.log`` and the C
+library's ``log`` round differently in the tails (a few ulp).
 """
 
 from __future__ import annotations
@@ -39,11 +45,88 @@ NOISE_KINDS = ("white", "gaussian", "lorentzian")
 # Draws per Philox counter block; realization i consumes block i.
 _BLOCK = 4
 
-# Half-ulp shift mapping uniform draws from [0, 1) onto (0, 1) so the
-# quantile transforms stay finite.
+# Generator.random() returns multiples of 2**-53 in [0, 1 - 2**-53].
+# Adding 2**-54 lifts 0 off the boundary, but from 1/2 up every sum is a
+# tie that rounds to even, and the top draw rounds to exactly 1.0, where
+# the Gaussian quantile is inf.  Clamping at _TOP changes that draw alone,
+# so the quantile transforms see u in [2**-54, 1 - 2**-53].
 _OPEN_SHIFT = 2.0**-54
+_TOP = 1.0 - 2.0**-53
+
+# Cephes ndtri.  exp(-2) splits the central rational approximation in
+# u - 1/2 from the tails, which use x = sqrt(-2 ln u) with one fit for
+# x < 8 and another for x >= 8 (u < exp(-32)).  Each denominator leads
+# with Cephes' implied 1.0, and 1.0 * x + c rounds as x + c does.
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242e0
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.0,
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.0,
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_Q2 = (
+    1.0,
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
 
 TWO_PI = 2.0 * math.pi
+
+
+def _polevl(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    """Horner evaluation, highest power first, in one buffer."""
+    acc = coeffs[0] * x
+    acc += coeffs[1]
+    for c in coeffs[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF for u in (0, 1), as Cephes ndtri.
+
+    The central formula runs on the whole block and the tail formulas on
+    the tail draws alone (about 27 %), which costs less than running both
+    everywhere; x >= 8 is rarely reached.
+    """
+    upper = u > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - u, u)
+    c = y - 0.5
+    c2 = c * c
+    out = _SQRT_2PI * (c + c * (c2 * _polevl(c2, _P0) / _polevl(c2, _Q0)))
+    tails = np.flatnonzero(y <= _EXP_M2)
+    x = np.sqrt(-2.0 * np.log(y[tails]))
+    z = 1.0 / x
+    tail = x - np.log(x) / x - z * _polevl(z, _P1) / _polevl(z, _Q1)
+    far = x >= 8.0
+    if far.any():
+        xf, zf = x[far], z[far]
+        tail[far] = xf - np.log(xf) / xf - zf * _polevl(zf, _P2) / _polevl(zf, _Q2)
+    out[tails] = np.where(upper[tails], tail, -tail)
+    return out
 
 
 @dataclass(frozen=True)
@@ -81,17 +164,18 @@ class NoiseModel:
         if start:
             bitgen.advance(start)
         raw = np.random.Generator(bitgen).random(_BLOCK * count)
-        u = raw[::_BLOCK] + _OPEN_SHIFT
+        return self._quantile(raw[::_BLOCK])
+
+    def _quantile(self, raw: np.ndarray) -> np.ndarray:
+        """Offsets eta_z (rad/s) for uniform draws ``raw`` in [0, 1)."""
+        u = np.minimum(raw + _OPEN_SHIFT, _TOP)
         w = self.width_rad
         if w == 0.0:
-            return np.zeros(count, dtype=float)
+            return np.zeros(u.shape, dtype=float)
         if self.kind == "white":
             return w * (2.0 * u - 1.0)
         if self.kind == "gaussian":
-            # Imported here: scipy.special costs ~0.3 s, and only this branch needs it.
-            from scipy.special import ndtri
-
-            return w * ndtri(u)
+            return w * _ndtri(u)
         return w * np.tan(np.pi * (u - 0.5))  # lorentzian quantile
 
     def sample(self, seed: int, index: int) -> float:

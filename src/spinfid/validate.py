@@ -137,7 +137,8 @@ def _check_noise_statistics() -> str:
     for kind in ("white", "gaussian", "lorentzian"):
         model = NoiseModel(kind)
         etas = model.sample_block(7, 0, 20_000)
-        mc = np.cos(np.outer(etas, t)).mean(axis=0)
+        # One grid point at a time: a draws x points matrix would be ~31 MB.
+        mc = np.array([np.cos(etas * tk).mean() for tk in t])
         worst = max(worst, float(np.max(np.abs(mc - model.avg_cos(t)))))
     if worst > 0.04:
         raise AssertionError(f"Monte-Carlo dephasing factor off by {worst:.3g}")

@@ -181,6 +181,26 @@ class TestSimulate:
         assert result.returncode == 2
         assert "config error" in result.stderr
 
+    def test_default_section_named_as_unknown(self, tmp_path):
+        ini = tmp_path / "default.ini"
+        ini.write_text(SMALL_INI + "[DEFAULT]\nseed = 5\n")
+        result = run_cli("simulate", str(ini), cwd=tmp_path)
+        assert result.returncode == 2
+        assert "unknown section [DEFAULT]" in result.stderr
+
+    def test_readout_follows_pulse_target(self, tmp_path):
+        ini = tmp_path / "target0.ini"
+        ini.write_text(SMALL_INI.replace("[state]\n", "[state]\npulse_target = 0\n"))
+        out = tmp_path / "target0.csv"
+        result = run_cli("simulate", str(ini), "--output", str(out), cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        data = load_csv(str(out))
+        trace = data.trace()
+        # The pulsed spin is read out: its signal starts at full transverse
+        # magnitude and the matching closed form rides along.
+        assert trace.mperp[0] == pytest.approx(0.5)
+        assert np.all(np.abs(trace.mperp - data.oracles["pps"]) < 0.2)
+
     def test_empty_output_value_exits_2(self, tmp_path):
         ini = tmp_path / "small.ini"
         ini.write_text(SMALL_INI + "[run]\noutput =\n")

@@ -70,6 +70,18 @@ class TestFieldParsing:
         cfg = parse_config(MINIMAL + "[run]\nobservable = single:0\n")
         assert cfg.observable == ObservableSpec.single(0)
 
+    def test_observable_defaults_to_pulse_target(self):
+        cfg = parse_config(with_key("state", "pulse_target = 0"))
+        assert cfg.observable == ObservableSpec.single(0)
+
+    @pytest.mark.parametrize("line, observable", [
+        ("observable = single:2", ObservableSpec.single(2)),
+        ("observable = total", ObservableSpec.total()),
+    ])
+    def test_explicit_observable_wins_over_pulse_target(self, line, observable):
+        cfg = parse_config(with_key("state", "pulse_target = 0") + f"[run]\n{line}\n")
+        assert cfg.observable == observable
+
     def test_pps_state_with_label(self):
         cfg = parse_config(with_key("state", "kind = pps\nlabel = 011"))
         assert cfg.state_kind == "pps"
@@ -144,6 +156,9 @@ class TestRejection:
             (with_key("system", "delta ="), "expected 3 offsets, got 0"),
             (with_key("system", "omega0 = fast"), "omega0"),
             (with_key("system", "omega0 = inf"), "omega0"),
+            (with_key("state", "pulse_target = 3"), "pulse target 3 out of range"),
+            (with_key("state", "pulse_target = -1"), "pulse target must be >= 0"),
+            (MINIMAL + "[DEFAULT]\nseed = 5\n", r"unknown section \[DEFAULT\]"),
         ],
     )
     def test_invalid_document_rejected(self, doc, fragment):

@@ -2,14 +2,27 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
+
+from conftest import subprocess_env
 
 from spinfid import NOISE_KINDS, NoiseModel
+from spinfid.noise import _ndtri
 
 TWO_PI = 2.0 * np.pi
+EXP_M2 = np.exp(-2.0)
+TOP = 1.0 - 2.0**-53  # largest value Generator.random() returns
+
+
+def within_ulps(got: np.ndarray, want: np.ndarray, ulps: int) -> bool:
+    return bool(np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want))))
 
 
 class TestConstruction:
@@ -84,6 +97,66 @@ class TestSampling:
         model = NoiseModel("gaussian", 28.0)
         draws = model.sample_block(101, 0, 100_000)
         assert abs(np.std(draws) / (TWO_PI * 28.0) - 1.0) < 0.02
+
+
+class TestGaussianQuantile:
+    """The numpy port of Cephes ndtri against scipy.special.ndtri."""
+
+    @pytest.mark.parametrize("seed, start", [(0, 0), (7, 123_457), (101, 0), (2**63 + 5, 9_999_999), (42, 1)])
+    def test_sampler_matches_scipy(self, seed, start):
+        count = 200_000
+        model = NoiseModel("gaussian", 28.0)
+        got = model.sample_block(seed, start, count)
+        bitgen = np.random.Philox(key=seed)
+        bitgen.advance(start)
+        raw = np.random.Generator(bitgen).random(4 * count)[::4]
+        u = np.minimum(raw + 2.0**-54, TOP)
+        want = model.width_rad * ndtri(u)
+        assert within_ulps(got, want, 8)
+        # The central rational approximation takes no log: bit for bit there.
+        central = (u > EXP_M2) & (u < 1.0 - EXP_M2)
+        assert np.array_equal(got[central], want[central])
+
+    def test_fixed_points(self):
+        u = np.array([2.0**-54, 2.0**-53, 1e-20, 1e-14, EXP_M2, 0.5, 0.5 + 2.0**-54, 1.0 - EXP_M2, TOP])
+        got = _ndtri(u)
+        assert np.all(np.isfinite(got))
+        assert within_ulps(got, ndtri(u), 8)
+        assert got[5] == 0.0
+
+    def test_tails_are_antisymmetric(self):
+        # Multiples of 2**-53 below 1/2 make 1 - u exact, so both tails see
+        # the same argument and must agree to the bit, x >= 8 included.
+        u = np.unique(np.round(np.geomspace(2.0**-53, 0.13, 5000) * 2.0**53)) * 2.0**-53
+        assert np.array_equal(_ndtri(1.0 - u), -_ndtri(u))
+        assert _ndtri(u).min() < -8.0
+
+    @pytest.mark.parametrize(
+        "kind, at_top",
+        [("white", 2.0 * TOP - 1.0), ("gaussian", ndtri(TOP)), ("lorentzian", np.tan(np.pi * (TOP - 0.5)))],
+        ids=["white", "gaussian", "lorentzian"],
+    )
+    def test_top_uniform_draw_is_finite(self, kind, at_top):
+        # TOP + 2**-54 ties and rounds to 1.0, where the Gaussian quantile
+        # is inf; the top draw must map to the quantile at TOP instead.
+        model = NoiseModel(kind, 28.0)
+        eta = model._quantile(np.array([TOP]))[0]
+        assert np.isfinite(eta)
+        assert eta == pytest.approx(model.width_rad * at_top, rel=1e-12)
+
+    def test_runtime_does_not_import_scipy(self):
+        code = (
+            "import sys\n"
+            "import spinfid\n"
+            "spinfid.NoiseModel('gaussian').sample_block(3, 0, 1000)\n"
+            "assert all(r.passed for r in spinfid.run_validation())\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(), timeout=300
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestClosedFormAverages:
