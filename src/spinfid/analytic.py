@@ -35,7 +35,7 @@ import numpy as np
 
 from .hamiltonians import SpinSystemSpec
 from .noise import NoiseModel
-from .states import parse_label
+from .states import STOCK_LABEL, parse_label
 
 __all__ = [
     "fid_single",
@@ -142,7 +142,7 @@ def fid_pps_single(
     spec: SpinSystemSpec,
     eta_z: float,
     t: np.ndarray | float,
-    label: str = "101",
+    label: str = STOCK_LABEL,
     observed: int = 2,
 ) -> Fid:
     """Exact secular-model FID of the pseudo-pure state at one fixed offset."""
@@ -154,7 +154,7 @@ def fid_pps(
     spec: SpinSystemSpec,
     model: NoiseModel,
     t: np.ndarray | float,
-    label: str = "101",
+    label: str = STOCK_LABEL,
     observed: int = 2,
 ) -> Fid:
     """Noise-averaged pseudo-pure FID under the secular Hamiltonian.

@@ -43,11 +43,22 @@ EXIT_INVARIANT = 3
 EXIT_IO = 4
 
 
+def _worker_count(raw: str) -> int:
+    """--workers value; rejected while parsing, so no verb starts with a bad count."""
+    try:
+        count = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"worker count must be an integer, got {raw!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be >= 1, got {count}")
+    return count
+
+
 def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", help="output CSV path (overrides the config)")
     parser.add_argument("--seed", type=int, help="ensemble seed override")
     parser.add_argument("--n-realizations", type=int, help="ensemble size override")
-    parser.add_argument("--workers", type=int, help="worker thread count override")
+    parser.add_argument("--workers", type=_worker_count, help="worker thread count override")
 
 
 def build_parser() -> argparse.ArgumentParser:

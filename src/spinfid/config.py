@@ -54,7 +54,7 @@ from typing import Callable
 from .engine import DEFAULT_N_REALIZATIONS, DEFAULT_SEED, HAMILTONIAN_KINDS, ObservableSpec, TimeGrid
 from .hamiltonians import SpinSystemSpec
 from .noise import NOISE_KINDS, NoiseModel
-from .states import PulseSpec, parse_label
+from .states import STOCK_LABEL, PulseSpec, parse_label
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file", "serialize_config", "config_hash"]
 
@@ -265,7 +265,7 @@ def parse_config(text: str) -> RunConfig:
     label = state.pop("label", None)
     if label is None:
         if n_spins == stock.n_spins:
-            label = "101"
+            label = STOCK_LABEL
         elif state_kind == "pps":
             raise ConfigError(f"[state] label is required for a pps state with n_spins = {n_spins}")
         else:

@@ -23,6 +23,17 @@ assumptions are checked on every call: ||[H0, sum_i I_iz]|| must vanish
 relative to ||H0|| and [sum_i I_iz, O] must equal O, else evolve_fid
 raises ValueError instead of returning a wrong answer.
 
+Shared phase sum: R chi depends only on the noise model, the grid, the
+realization count and the seed, not on the spins, the state, the pulse,
+the readout or the Hamiltonian.  A caller that runs several systems on
+one ensemble (a magnification sweep) computes it once with
+``PhaseSum.compute`` and passes it to each ``evolve_fid`` call.  The
+value carries the (noise, grid, n_realizations, seed) it was summed
+over, and evolve_fid raises ValueError unless they equal its own
+arguments, so a shared sum can never stand in for a different ensemble.
+The product D(t) chi(t) / R is formed in the same order either way, so
+sharing changes no output bit.
+
 Phase sum: the grid is uniform, t_k = k dt, so the sum
 R chi(t_k) = sum_r exp(i k x_r) with x_r = eta_r dt mod 2 pi is a type-1
 nonuniform FFT (Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1368 (1993)),
@@ -73,6 +84,7 @@ __all__ = [
     "TimeGrid",
     "ObservableSpec",
     "FidTrace",
+    "PhaseSum",
     "evolve_fid",
     "residual_ratio",
 ]
@@ -310,6 +322,47 @@ def _phase_sum(
     return deconvolve * np.fft.rfft(periodic)[:n].conj()
 
 
+@dataclass(frozen=True)
+class PhaseSum:
+    """R chi(t_k) = sum_r exp(i eta_r t_k) on ``grid``, with the ensemble it sums over.
+
+    Build it with :meth:`compute`; ``evolve_fid`` accepts it in place of
+    its own phase sum only for the same noise, grid, count and seed.
+    """
+
+    noise: NoiseModel
+    grid: TimeGrid
+    n_realizations: int
+    seed: int
+    values: np.ndarray
+
+    @classmethod
+    def compute(
+        cls,
+        noise: NoiseModel,
+        grid: TimeGrid,
+        n_realizations: int = DEFAULT_N_REALIZATIONS,
+        seed: int = DEFAULT_SEED,
+        workers: int | None = None,
+    ) -> "PhaseSum":
+        """Sum the ensemble once; bit-identical for any ``workers``, as in evolve_fid."""
+        if n_realizations < 1:
+            raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
+        values = _phase_sum(noise, grid, n_realizations, seed, _resolve_workers(workers))
+        values.setflags(write=False)
+        return cls(noise=noise, grid=grid, n_realizations=n_realizations, seed=seed, values=values)
+
+    def require_ensemble(self, noise: NoiseModel, grid: TimeGrid, n_realizations: int, seed: int) -> None:
+        """Raise ValueError unless this sum was made from exactly this ensemble."""
+        wanted = {"noise": noise, "grid": grid, "n_realizations": n_realizations, "seed": seed}
+        for name, value in wanted.items():
+            if getattr(self, name) != value:
+                raise ValueError(
+                    f"shared phase sum was made with {name} = {getattr(self, name)!r}, "
+                    f"but this run has {name} = {value!r}"
+                )
+
+
 def evolve_fid(
     spec: SpinSystemSpec,
     initial: DensityMatrix,
@@ -320,12 +373,15 @@ def evolve_fid(
     seed: int = DEFAULT_SEED,
     hamiltonian: str = "effective",
     workers: int | None = None,
+    phase_sum: PhaseSum | None = None,
 ) -> FidTrace:
     """Ensemble-averaged FID of ``initial`` under the chosen Hamiltonian.
 
     Raises ValueError if the Hamiltonian does not conserve total I_z or
     the observable is not single-quantum, since the D(t) chi(t)
-    factorisation would then give a wrong answer.
+    factorisation would then give a wrong answer.  ``phase_sum`` is an
+    optional precomputed sum for this exact (noise, grid, n_realizations,
+    seed); any mismatch is a ValueError.
     """
     if initial.dim != spec.dim:
         raise ValueError(f"state dimension {initial.dim} does not match spec dimension {spec.dim}")
@@ -333,13 +389,17 @@ def evolve_fid(
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
     if hamiltonian not in HAMILTONIAN_KINDS:
         raise ValueError(f"hamiltonian must be one of {HAMILTONIAN_KINDS}, got {hamiltonian!r}")
+    workers = _resolve_workers(workers)
+    if phase_sum is not None:
+        phase_sum.require_ensemble(noise, grid, n_realizations, seed)
     observable = observable if observable is not None else ObservableSpec.single(spec.n_spins - 1)
     obs = observable.ladder_matrix(spec.n_spins)
     build = build_effective if hamiltonian == "effective" else build_rotating_heisenberg
     h0 = build(spec, eta_z=0.0)
     _require_factorisation(h0, obs, spec.n_spins)
-    chi = _phase_sum(noise, grid, n_realizations, seed, _resolve_workers(workers))
-    signal = _zero_noise_signal(h0, initial.matrix, obs, grid.points) * chi
+    if phase_sum is None:
+        phase_sum = PhaseSum.compute(noise, grid, n_realizations, seed, workers)
+    signal = _zero_noise_signal(h0, initial.matrix, obs, grid.points) * phase_sum.values
     signal /= n_realizations
 
     return FidTrace.from_components(

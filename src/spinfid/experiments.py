@@ -34,10 +34,10 @@ from .analytic import (
 )
 from .config import RunConfig, config_hash, parse_config
 from .csvio import emit_trace_csv, write_csv
-from .engine import DEFAULT_SEED, FidTrace, evolve_fid, residual_ratio
+from .engine import DEFAULT_SEED, FidTrace, PhaseSum, evolve_fid, residual_ratio
 from .noise import NOISE_KINDS
 from .operators import DensityMatrix
-from .states import apply_pulse, pps_state, thermal_state
+from .states import STOCK_LABEL, apply_pulse, pps_state, thermal_state
 
 __all__ = [
     "PRESET_NAMES",
@@ -133,7 +133,7 @@ def matching_oracles(config: RunConfig) -> dict[str, np.ndarray]:
         config.state_kind == "pps"
         and observable.kind == "total"
         and spec.n_spins == 3
-        and config.label == "101"
+        and config.label == STOCK_LABEL
         and pulse.target == 2
         and spec.delta[0] == 0.0
     ):
@@ -145,11 +145,14 @@ def run_experiment(
     config: RunConfig,
     workers: int | None = None,
     oracles: Mapping[str, np.ndarray] | None = None,
+    phase_sum: PhaseSum | None = None,
 ) -> ExperimentResult:
     """Simulate one configuration and optionally write its CSV.
 
     ``oracles`` overrides the automatic closed-form columns; pass an
-    empty mapping to suppress them entirely.
+    empty mapping to suppress them entirely.  ``phase_sum`` is handed to
+    ``evolve_fid``, which checks that it matches this configuration's
+    ensemble.
     """
     initial = build_initial_state(config)
     trace = evolve_fid(
@@ -162,6 +165,7 @@ def run_experiment(
         seed=config.seed,
         hamiltonian=config.hamiltonian,
         workers=workers,
+        phase_sum=phase_sum,
     )
     if not (np.all(np.isfinite(trace.mx)) and np.all(np.isfinite(trace.my))):
         raise NumericInvariantError("simulated trace contains non-finite values")
@@ -235,6 +239,7 @@ def run_preset(
     if name == "fig4a":
         root = stem[: -len(".csv")] if stem.endswith(".csv") else stem
         paths: list[str] = []
+        shared = _ensemble_phase_sum(base, workers)
         for magnification in (1.0, 2.5, 5.0):
             path = f"{root}_{_magnification_tag(magnification)}.csv"
             config = replace(
@@ -242,7 +247,7 @@ def run_preset(
                 system=replace(base.system, magnification=magnification),
                 output=path,
             )
-            run_experiment(config, workers=workers)
+            run_experiment(config, workers=workers, phase_sum=shared)
             paths.append(path)
         return PresetResult(name=name, paths=tuple(paths))
 
@@ -266,6 +271,11 @@ def run_preset(
 SWEEP_PARAMS = ("m", "width")
 
 
+def _ensemble_phase_sum(config: RunConfig, workers: int | None) -> PhaseSum:
+    """The phase sum every run on ``config``'s ensemble can share."""
+    return PhaseSum.compute(config.noise, config.grid, config.n_realizations, config.seed, workers)
+
+
 def _with_param(base: RunConfig, param: str, value: float) -> RunConfig:
     if param == "m":
         return replace(base, system=replace(base.system, magnification=value), output=None)
@@ -285,7 +295,9 @@ def sweep_residuals(
     Runs the base configuration once with the swept parameter set to zero
     (couplings off for ``m``, noise off for ``width``) at the same seed,
     then at each requested value, and reports the integrated relative
-    deviation of the modulus from that baseline.  The analytic column
+    deviation of the modulus from that baseline.  A magnification sweep
+    keeps the ensemble fixed, so its runs share one phase sum; a width
+    sweep rescales every draw and sums each run afresh.  The analytic column
     uses the first-order envelope of the magnification sweep and is NaN
     unless ``matching_oracles`` offers the perturbative model for ``base``.
     """
@@ -294,14 +306,16 @@ def sweep_residuals(
         raise ValueError("need a non-empty 1-d list of sweep values")
     if np.any(values < 0.0):
         raise ValueError(f"swept {param!r} values must be non-negative")
-    baseline = run_experiment(_with_param(base, param, 0.0), workers=workers, oracles={}).trace
+    shared = _ensemble_phase_sum(base, workers) if param == "m" else None
+    baseline = run_experiment(_with_param(base, param, 0.0), workers=workers, oracles={}, phase_sum=shared).trace
     analytic = param == "m" and "perturbative" in matching_oracles(base)
     t = base.grid.points
     r_numeric = np.empty_like(values)
     r_analytic = np.full_like(values, np.nan)
     for k, value in enumerate(values):
         config = _with_param(base, param, float(value))
-        r_numeric[k] = residual_ratio(run_experiment(config, workers=workers, oracles={}).trace, baseline)
+        trace = run_experiment(config, workers=workers, oracles={}, phase_sum=shared).trace
+        r_numeric[k] = residual_ratio(trace, baseline)
         if analytic:
             r_analytic[k] = residual_ratio_analytic(config.system, config.noise, t)
     return {param: values, "r_numeric": r_numeric, "r_analytic": r_analytic}

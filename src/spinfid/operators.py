@@ -63,13 +63,21 @@ def embed(op: np.ndarray, site: int, n_spins: int) -> np.ndarray:
 
     Identity factors fill the remaining sites; site 0 is the leftmost
     Kronecker factor.  embed(pauli('z'), 0, 2) == diag(1, 1, -1, -1).
+
+    The product left (x) op (x) right is one broadcast multiplication over
+    the axes (row_left, row_op, row_right, col_left, col_op, col_right),
+    reshaped to a matrix.  It multiplies the same factors in the same
+    order as np.kron(np.kron(left, op), right), so the result is
+    bit-identical to it, signed zeros included, at a fraction of the cost.
     """
     if op.shape != (2, 2):
         raise ValueError(f"expected a 2x2 single-spin operator, got {op.shape}")
     if not 0 <= site < n_spins:
         raise ValueError(f"site {site} out of range for {n_spins} spins")
-    out = np.kron(np.eye(2**site, dtype=complex), op)
-    return np.kron(out, np.eye(2 ** (n_spins - site - 1), dtype=complex))
+    left = np.eye(2**site, dtype=complex)
+    right = np.eye(2 ** (n_spins - site - 1), dtype=complex)
+    out = left[:, None, None, :, None, None] * op[None, :, None, None, :, None] * right[None, None, :, None, None, :]
+    return out.reshape(2**n_spins, 2**n_spins)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,12 @@ import numpy as np
 from .hamiltonians import SpinSystemSpec
 from .operators import DensityMatrix, embed, pauli
 
-__all__ = ["PulseSpec", "thermal_state", "pps_state", "apply_pulse", "parse_label"]
+__all__ = ["STOCK_LABEL", "PulseSpec", "thermal_state", "pps_state", "apply_pulse", "parse_label"]
+
+# Pseudo-pure label of the stock three-spin preparation, |101>: the default
+# wherever a label is optional, and the preparation the first-order
+# exchange model describes.
+STOCK_LABEL = "101"
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,7 @@ def parse_label(label: str, n_spins: int) -> int:
     return int(label, 2)
 
 
-def pps_state(spec: SpinSystemSpec, label: str = "101") -> DensityMatrix:
+def pps_state(spec: SpinSystemSpec, label: str = STOCK_LABEL) -> DensityMatrix:
     """Pseudo-pure state (1-p)/2^n I + p |label><label|, p in (0, 1]."""
     p = spec.polarization
     if not 0.0 < p <= 1.0:

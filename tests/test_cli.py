@@ -121,6 +121,16 @@ class TestPreset:
         assert result.returncode == 2
         assert "worker count" in result.stderr
 
+    @pytest.mark.parametrize("args", [("fig3",), ("--list",)], ids=["fig3", "list"])
+    def test_zero_workers_is_rejected_before_any_work(self, tmp_path, args):
+        # fig3 never reaches the phase sum and --list runs nothing, so the
+        # count must be refused while the arguments are parsed.
+        result = run_cli("preset", *args, "--workers", "0", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "worker count must be >= 1" in result.stderr
+        assert result.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_nonpositive_realization_count_is_usage_error(self, tmp_path, count):
         result = run_cli("preset", "fig2-pps", "--n-realizations", count, cwd=tmp_path)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from spinfid import (
     FidTrace,
     NoiseModel,
     ObservableSpec,
+    PhaseSum,
     PulseSpec,
     SpinSystemSpec,
     TimeGrid,
@@ -25,7 +28,11 @@ from spinfid import (
     fid_thermal,
     pauli,
     pps_state,
+    preset_config,
     residual_ratio,
+    run_experiment,
+    run_preset,
+    sweep_residuals,
     thermal_state,
 )
 
@@ -396,6 +403,78 @@ class TestPhaseSum:
         assert np.array_equal(serial, nufft_mean(noise, default_grid, n, seed=4, workers=3))
         reference = direct_mean(noise.sample_block(4, 0, n), default_grid)
         assert np.max(np.abs(serial - reference)) <= 1e-12
+
+
+class TestSharedPhaseSum:
+    """A precomputed phase sum gives the same bytes and is refused for another ensemble."""
+
+    NOISE = NoiseModel("lorentzian", 28.0)
+    GRID = TimeGrid(t_max=0.024, n_points=97)
+
+    def run(self, spec, **kwargs):
+        return evolve_fid(spec, pulsed_pps(spec), self.NOISE, self.GRID, observable=ObservableSpec.total(),
+                          hamiltonian="heisenberg", **{"n_realizations": 300, "seed": 5, **kwargs})
+
+    def test_shared_sum_gives_identical_bytes(self):
+        shared = PhaseSum.compute(self.NOISE, self.GRID, 300, 5, workers=1)
+        for m in (0.0, 1.0, 5.0):
+            spec = SpinSystemSpec(polarization=1.0, magnification=m)
+            own, reused = self.run(spec), self.run(spec, phase_sum=shared)
+            assert own.mx.tobytes() == reused.mx.tobytes()
+            assert own.my.tobytes() == reused.my.tobytes()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", 6),
+            ("grid", TimeGrid(t_max=0.024, n_points=98)),
+            ("n_realizations", 301),
+            ("noise", NoiseModel("gaussian", 28.0)),
+        ],
+    )
+    def test_sum_from_another_ensemble_is_refused(self, field, value):
+        ensemble = {"noise": self.NOISE, "grid": self.GRID, "n_realizations": 300, "seed": 5}
+        shared = PhaseSum.compute(**{**ensemble, field: value}, workers=1)
+        spec = SpinSystemSpec(polarization=1.0)
+        with pytest.raises(ValueError, match=f"shared phase sum was made with {field}"):
+            self.run(spec, phase_sum=shared)
+
+    @staticmethod
+    def count_phase_sums(monkeypatch) -> list[int]:
+        calls = []
+        original = spinfid.engine._phase_sum
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spinfid.engine, "_phase_sum", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["fig4a", "fig4b"])
+    def test_exchange_presets_sum_once(self, monkeypatch, tmp_path, name):
+        calls = self.count_phase_sums(monkeypatch)
+        run_preset(name, n_realizations=400, output=str(tmp_path / f"{name}.csv"), workers=1)
+        assert len(calls) == 1
+
+    def test_width_sweep_sums_every_run(self, monkeypatch):
+        # A width sweep rescales every draw, so no run may reuse another's sum.
+        calls = self.count_phase_sums(monkeypatch)
+        base = preset_config("fig2-pps", n_realizations=200)
+        sweep_residuals(base, np.array([10.0, 28.0]), param="width", workers=1)
+        assert len(calls) == 3
+
+    def test_fig4b_table_matches_unshared_runs(self, tmp_path):
+        base = preset_config("fig4b", n_realizations=400)
+        table = run_preset("fig4b", n_realizations=400, output=str(tmp_path / "fig4b.csv"), workers=1).table
+
+        def trace(m):
+            config = replace(base, system=replace(base.system, magnification=m), output=None)
+            return run_experiment(config, workers=1, oracles={}).trace
+
+        baseline = trace(0.0)
+        expected = np.array([residual_ratio(trace(m), baseline) for m in table["m"]])
+        assert table["r_numeric"].tobytes() == expected.tobytes()
 
 
 class TestCouplingInvariance:

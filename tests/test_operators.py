@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from spinfid import (
     DensityMatrix,
     Propagator,
+    PulseSpec,
     embed,
     expm_hermitian,
     pauli,
@@ -66,6 +67,23 @@ class TestEmbed:
     def test_site_out_of_range(self):
         with pytest.raises(ValueError):
             embed(pauli("x"), 3, 3)
+
+    @pytest.mark.parametrize("n_spins", [1, 2, 3, 4])
+    def test_matches_kron_reference_byte_for_byte(self, n_spins):
+        # Signed zeros included: the broadcast product must multiply exactly as np.kron does.
+        ops = [pauli(axis) for axis in "ixyz"] + [
+            PulseSpec(target=0, axis=axis, angle=angle).rotation()
+            for axis in "xyz"
+            for angle in (np.pi / 2, np.pi, -0.7, 2.5)
+        ]
+        for site in range(n_spins):
+            left = np.eye(2**site, dtype=complex)
+            right = np.eye(2 ** (n_spins - site - 1), dtype=complex)
+            for op in ops:
+                got = embed(op, site, n_spins)
+                want = np.kron(np.kron(left, op), right)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
     @given(site=st.integers(0, 2), axis=st.sampled_from("xyz"))
     @settings(max_examples=20, deadline=None)
