@@ -58,7 +58,9 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", help="output CSV path (overrides the config)")
     parser.add_argument("--seed", type=int, help="ensemble seed override")
     parser.add_argument("--n-realizations", type=int, help="ensemble size override")
-    parser.add_argument("--workers", type=_worker_count, help="worker thread count override")
+    parser.add_argument(
+        "--workers", type=_worker_count, help="accepted for old scripts; must be >= 1 and changes nothing"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

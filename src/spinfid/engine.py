@@ -54,22 +54,20 @@ three noise kinds on grids of 2 to 4001 points; the tests hold it to
 cells, whatever n is, and one M-point FFT finishes the sum.
 
 Determinism: realizations are split into fixed-size chunks whose
-boundaries depend only on the realization count.  np.bincount adds each
-chunk's kernel values in input order, the chunk grids are added in chunk
-order, and the FFT runs once on their sum.  No step calls BLAS (exp,
-bincount and numpy's pocketfft have no BLAS call), whose threaded
-kernels split sums by the BLAS thread count.  Worker threads only decide
-who computes a chunk, so results are bit-identical for any worker count
-and any BLAS thread count.  The worker count is the ``workers`` argument,
-else the CPU count.
+boundaries depend only on the realization count, and the chunks run in
+order in the calling thread.  np.bincount adds each chunk's kernel values
+in input order, the chunk grids are added in chunk order, and the FFT
+runs once on their sum.  No step calls BLAS (exp, bincount and numpy's
+pocketfft have no BLAS call), whose threaded kernels split sums by the
+BLAS thread count.  So on one numpy build and SIMD dispatch level the
+results are bit-identical for any BLAS thread count and any ``workers``
+value, which must be >= 1 but changes nothing.  Across SIMD levels np.exp
+and its kin take other vector paths, and the values agree to 1e-15.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +93,8 @@ HAMILTONIAN_KINDS = ("effective", "heisenberg")
 DEFAULT_SEED = 101
 DEFAULT_N_REALIZATIONS = 100_000
 
-# Draws per chunk.  Chunks are the parallel grain and their boundaries fix
-# the reduction order, so changing this changes result bytes.
+# Draws per chunk, and rows of the chunk buffers.  Chunk boundaries fix the
+# reduction order, so changing this changes result bytes.
 _CHUNK_DRAWS = 2048
 
 # Gaussian gridding constants of the phase sum (see the module docstring):
@@ -231,25 +229,15 @@ class FidTrace:
 
 
 def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
+    """Validate a ``workers`` argument; chunks run in the calling thread, so the count used is 1."""
+    if workers is not None and workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
+    return 1
 
 
 def _chunk_bounds(n_realizations: int) -> list[tuple[int, int]]:
     """Fixed chunk boundaries; a function of the realization count only."""
     return [(lo, min(lo + _CHUNK_DRAWS, n_realizations)) for lo in range(0, n_realizations, _CHUNK_DRAWS)]
-
-
-def _map_chunks(fn, bounds: list[tuple[int, int]], workers: int) -> Iterator[np.ndarray]:
-    """Yield fn(lo, hi) for each chunk in chunk order, whichever worker computed it."""
-    if workers == 1 or len(bounds) == 1:
-        yield from (fn(lo, hi) for lo, hi in bounds)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(lambda b: fn(*b), bounds)
 
 
 def _require_factorisation(h0: np.ndarray, obs: np.ndarray, n_spins: int) -> None:
@@ -281,9 +269,7 @@ def _zero_noise_signal(h0: np.ndarray, rho: np.ndarray, obs: np.ndarray, t: np.n
     return (a[:, None] * np.exp(-1j * np.outer(w, t))).sum(axis=0)
 
 
-def _phase_sum(
-    noise: NoiseModel, grid: TimeGrid, n_realizations: int, seed: int, workers: int
-) -> np.ndarray:
+def _phase_sum(noise: NoiseModel, grid: TimeGrid, n_realizations: int, seed: int) -> np.ndarray:
     """R chi(t_k) = sum_r exp(i eta_r t_k) on the grid, by a type-1 NUFFT (see the module docstring)."""
     n = grid.n_points
     m = _OVERSAMPLING * 2 * n
@@ -300,21 +286,22 @@ def _phase_sum(
     # A draw at x touches the 2w grid points floor(x) - w + 1 ... floor(x) + w.  They are
     # spread onto a padded line, cell c holding grid point c - w + 1, and folded mod m once.
     reach = np.arange(2 * _HALF_WIDTH)
-
-    def spread(lo: int, hi: int) -> np.ndarray:
+    rows = min(_CHUNK_DRAWS, n_realizations)
+    kernel_buf = np.empty((rows, 2 * _HALF_WIDTH))
+    cells_buf = np.empty((rows, 2 * _HALF_WIDTH), dtype=np.int64)
+    padded = np.zeros(padded_cells)
+    for lo, hi in _chunk_bounds(n_realizations):
         # x_r = eta_r dt mod 2 pi, in grid cells; a period of exactly m cells keeps the wrap exact.
         x = np.mod(noise.sample_block(seed, lo, hi - lo) * (grid.dt * cells_per_rad), m)
         node = np.floor(x)  # x = m (a tiny negative eta) gives node m, which the fold wraps
-        kernel = (x - node + (_HALF_WIDTH - 1))[:, None] - reach  # gap to each touched point
+        kernel = kernel_buf[: hi - lo]
+        np.subtract((x - node + (_HALF_WIDTH - 1))[:, None], reach, out=kernel)  # gap to each touched point
         kernel *= kernel
         kernel *= -decay
         np.exp(kernel, out=kernel)
-        cells = node.astype(np.int64)[:, None] + reach
-        return np.bincount(cells.ravel(), weights=kernel.ravel(), minlength=padded_cells)
-
-    padded = np.zeros(padded_cells)
-    for part in _map_chunks(spread, _chunk_bounds(n_realizations), workers):
-        padded += part
+        cells = cells_buf[: hi - lo]
+        np.add(node.astype(np.int64)[:, None], reach, out=cells)
+        padded += np.bincount(cells.ravel(), weights=kernel.ravel(), minlength=padded_cells)
     fold = (np.arange(padded_cells) - (_HALF_WIDTH - 1)) % m
     periodic = np.bincount(fold, weights=padded, minlength=m)
     k = np.arange(n)
@@ -345,10 +332,11 @@ class PhaseSum:
         seed: int = DEFAULT_SEED,
         workers: int | None = None,
     ) -> "PhaseSum":
-        """Sum the ensemble once; bit-identical for any ``workers``, as in evolve_fid."""
+        """Sum the ensemble once, in the calling thread; ``workers`` must be >= 1 and changes nothing."""
         if n_realizations < 1:
             raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-        values = _phase_sum(noise, grid, n_realizations, seed, _resolve_workers(workers))
+        _resolve_workers(workers)
+        values = _phase_sum(noise, grid, n_realizations, seed)
         values.setflags(write=False)
         return cls(noise=noise, grid=grid, n_realizations=n_realizations, seed=seed, values=values)
 
@@ -389,7 +377,7 @@ def evolve_fid(
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
     if hamiltonian not in HAMILTONIAN_KINDS:
         raise ValueError(f"hamiltonian must be one of {HAMILTONIAN_KINDS}, got {hamiltonian!r}")
-    workers = _resolve_workers(workers)
+    _resolve_workers(workers)
     if phase_sum is not None:
         phase_sum.require_ensemble(noise, grid, n_realizations, seed)
     observable = observable if observable is not None else ObservableSpec.single(spec.n_spins - 1)
@@ -398,7 +386,7 @@ def evolve_fid(
     h0 = build(spec, eta_z=0.0)
     _require_factorisation(h0, obs, spec.n_spins)
     if phase_sum is None:
-        phase_sum = PhaseSum.compute(noise, grid, n_realizations, seed, workers)
+        phase_sum = PhaseSum.compute(noise, grid, n_realizations, seed)
     signal = _zero_noise_signal(h0, initial.matrix, obs, grid.points) * phase_sum.values
     signal /= n_realizations
 

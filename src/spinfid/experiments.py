@@ -115,7 +115,8 @@ def matching_oracles(config: RunConfig) -> dict[str, np.ndarray]:
     magnetization (identical whenever the other spins stay longitudinal,
     which is the case for these preparations under secular evolution).
     The first-order model of the exchange-coupled system describes the
-    total readout of the stock pseudo-pure ``101`` preparation only.
+    total readout of the stock pseudo-pure ``101`` preparation only, and
+    only where both offset gaps to spin 2 are nonzero (it divides by them).
     """
     spec, pulse, observable = config.system, config.pulse, config.observable
     if pulse.axis != "y" or not np.isclose(pulse.angle, np.pi / 2):
@@ -136,6 +137,7 @@ def matching_oracles(config: RunConfig) -> dict[str, np.ndarray]:
         and config.label == STOCK_LABEL
         and pulse.target == 2
         and spec.delta[0] == 0.0
+        and spec.delta[2] not in (spec.delta[0], spec.delta[1])
     ):
         return {"perturbative": fid_perturbative(spec, config.noise, t)[2]}
     return {}

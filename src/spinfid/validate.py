@@ -222,11 +222,11 @@ def _check_worker_determinism() -> str:
     kwargs = dict(n_realizations=10_000, seed=5)
     chunks = len(_chunk_bounds(kwargs["n_realizations"]))
     if chunks < 3:
-        raise AssertionError(f"{chunks} chunks; at least 3 are needed to exercise the worker pool")
+        raise AssertionError(f"{chunks} chunks; at least 3 are needed to exercise the chunked reduction")
     serial = evolve_fid(spec, initial, noise, grid, workers=1, **kwargs)
     threaded = evolve_fid(spec, initial, noise, grid, workers=3, **kwargs)
     if not (np.array_equal(serial.mx, threaded.mx) and np.array_equal(serial.my, threaded.my)):
-        raise AssertionError("results depend on the worker count")
+        raise AssertionError("the workers argument changed the trace; it must change nothing")
     return f"bit-identical traces for 1 and 3 workers over {chunks} chunks"
 
 

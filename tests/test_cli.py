@@ -32,6 +32,14 @@ seed = 3
 """
 
 
+def exchange_total_ini(delta: str) -> str:
+    """SMALL_INI on the exchange-coupled path with the total readout and the given offsets."""
+    return (
+        SMALL_INI.replace("[system]\n", f"[system]\ndelta = {delta}\n")
+        + "[run]\nhamiltonian = heisenberg\nobservable = total\n"
+    )
+
+
 def run_cli(*args, cwd=None, extra_env=None):
     return subprocess.run(
         [sys.executable, "-m", "spinfid", *args],
@@ -139,8 +147,8 @@ class TestPreset:
         assert not (tmp_path / "fig2-pps.csv").exists()
 
     def test_worker_count_ignores_environment(self, tmp_path):
-        # The worker count is --workers or the CPU count; no environment
-        # variable can change or break a run.
+        # Only --workers names a worker count, and it changes no byte; no
+        # environment variable can change or break a run.
         outputs = []
         for extra_env in ({}, {"SPINFID_WORKERS": "abc"}):
             out = tmp_path / f"run{len(outputs)}.csv"
@@ -211,6 +219,19 @@ class TestSimulate:
         assert trace.mperp[0] == pytest.approx(0.5)
         assert np.all(np.abs(trace.mperp - data.oracles["pps"]) < 0.2)
 
+    @pytest.mark.parametrize("delta", ["0, 500, 500", "0, 500, 0"], ids=["gap-to-spin-1", "gap-to-spin-0"])
+    def test_zero_offset_gap_runs_without_oracle(self, tmp_path, delta):
+        # The first-order model divides by both offset gaps to spin 2, so a
+        # zero gap leaves the run without that oracle instead of failing it.
+        ini = tmp_path / "degenerate.ini"
+        ini.write_text(exchange_total_ini(delta))
+        out = tmp_path / "degenerate.csv"
+        result = run_cli("simulate", str(ini), "--output", str(out), cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        data = load_csv(str(out))
+        assert data.oracles == {}
+        assert np.all(np.isfinite(data.trace().mperp))
+
     def test_empty_output_value_exits_2(self, tmp_path):
         ini = tmp_path / "small.ini"
         ini.write_text(SMALL_INI + "[run]\noutput =\n")
@@ -258,15 +279,17 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "source",
-        [["--preset", "fig2-pps"], ["--config", "heisenberg.ini"]],
-        ids=["secular", "heisenberg-single-readout"],
+        [["--preset", "fig2-pps"], ["--config", "heisenberg.ini"], ["--config", "zero-gap.ini"]],
+        ids=["secular", "heisenberg-single-readout", "heisenberg-zero-offset-gap"],
     )
     def test_analytic_column_nan_where_model_does_not_apply(self, tmp_path, source):
         # the first-order model describes the total readout of the
-        # exchange-coupled system, neither a secular run nor one spin alone
+        # exchange-coupled system, neither a secular run nor one spin alone,
+        # and divides by both offset gaps to spin 2
         (tmp_path / "heisenberg.ini").write_text(
             SMALL_INI + "[run]\nhamiltonian = heisenberg\nobservable = single:2\n"
         )
+        (tmp_path / "zero-gap.ini").write_text(exchange_total_ini("0, 500, 500"))
         out = tmp_path / "sweep.csv"
         result = run_cli(
             "sweep", *source, "--param", "m", "--values", "1,5",

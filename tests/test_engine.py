@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import subprocess_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +38,12 @@ from spinfid import (
     sweep_residuals,
     thermal_state,
 )
+from spinfid.csvio import load_csv
+
+try:
+    from numpy._core import _multiarray_umath as numpy_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as numpy_umath
 
 TWO_PI = 2.0 * np.pi
 
@@ -341,8 +350,8 @@ def direct_mean(etas: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return np.exp(1j * np.outer(etas, grid.points)).sum(axis=0) / etas.size
 
 
-def nufft_mean(noise, grid: TimeGrid, n: int, seed: int = 0, workers: int = 1) -> np.ndarray:
-    return spinfid.engine._phase_sum(noise, grid, n, seed, workers) / n
+def nufft_mean(noise, grid: TimeGrid, n: int, seed: int = 0) -> np.ndarray:
+    return spinfid.engine._phase_sum(noise, grid, n, seed) / n
 
 
 class TestPhaseSum:
@@ -399,8 +408,8 @@ class TestPhaseSum:
         bounds = spinfid.engine._chunk_bounds(n)
         assert len(bounds) == 3 and bounds[-1] == (n - 123, n)
         noise = NoiseModel("gaussian", 28.0)
-        serial = nufft_mean(noise, default_grid, n, seed=4, workers=1)
-        assert np.array_equal(serial, nufft_mean(noise, default_grid, n, seed=4, workers=3))
+        serial = PhaseSum.compute(noise, default_grid, n, 4, workers=1).values / n
+        assert np.array_equal(serial, PhaseSum.compute(noise, default_grid, n, 4, workers=3).values / n)
         reference = direct_mean(noise.sample_block(4, 0, n), default_grid)
         assert np.max(np.abs(serial - reference)) <= 1e-12
 
@@ -624,3 +633,56 @@ class TestAgainstAnalyticOracles:
         )
         _, _, oracle = fid_pps(pps_system, model, default_grid.points)
         assert np.max(np.abs(trace.mperp - oracle)) < 5e-3
+
+
+# A child is given numpy's CPU-feature module and the dispatch targets to run
+# without, and writes these presets into its working directory.  numpy
+# ignores a name it does not know, so the child checks that every named
+# target really is off.
+SIMD_PRESETS = ("fig1", "fig2-pps", "fig4b")
+SIMD_CHILD = f"""\
+import importlib, sys
+from spinfid import run_preset
+features = importlib.import_module(sys.argv[1]).__cpu_features__
+still_on = [target for target in sys.argv[2:] if features[target]]
+assert not still_on, f"dispatch targets still enabled: {{still_on}}"
+for name in {SIMD_PRESETS!r}:
+    run_preset(name, n_realizations=2000, output=name + ".csv")
+"""
+
+
+def preset_columns_at_level(directory, disabled: tuple[str, ...]) -> dict[tuple[str, str], np.ndarray]:
+    env = subprocess_env()
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+    result = subprocess.run(
+        [sys.executable, "-c", SIMD_CHILD, numpy_umath.__name__, *disabled],
+        capture_output=True, text=True, cwd=directory, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return {
+        (name, column): values
+        for name in SIMD_PRESETS
+        for column, values in load_csv(str(directory / f"{name}.csv")).columns.items()
+    }
+
+
+class TestSimdLevels:
+    """Bytes hold for one SIMD level; across numpy's dispatch levels the values agree to 1e-15."""
+
+    @pytest.fixture(scope="class")
+    def native(self, tmp_path_factory):
+        return preset_columns_at_level(tmp_path_factory.mktemp("native"), ())
+
+    @pytest.mark.parametrize("target", numpy_umath.__cpu_dispatch__)
+    def test_presets_agree_below_each_dispatch_target(self, native, tmp_path, target):
+        if not numpy_umath.__cpu_features__.get(target):
+            pytest.skip(f"this CPU does not run numpy's {target} kernels")
+        # Disabling a target and every later one runs at the level below it.
+        targets = numpy_umath.__cpu_dispatch__
+        disabled = tuple(targets[targets.index(target):])
+        lowered = preset_columns_at_level(tmp_path, disabled)
+        assert lowered.keys() == native.keys()
+        for key, values in native.items():
+            np.testing.assert_allclose(lowered[key], values, rtol=0.0, atol=1e-15, err_msg=str(key))
