@@ -37,36 +37,40 @@ sharing changes no output bit.
 Phase sum: the grid is uniform, t_k = k dt, so the sum
 R chi(t_k) = sum_r exp(i k x_r) with x_r = eta_r dt mod 2 pi is a type-1
 nonuniform FFT (Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1368 (1993)),
-evaluated by Gaussian gridding (Greengard & Lee, SIAM Rev. 46, 443
-(2004)).  Every draw has unit strength, so it is spread onto a real
-periodic grid of M = sigma N points, N = 2n, with the periodised Gaussian
-g(x) = sum_l exp(-(x - 2 pi l)^2 / (4 tau)), cut to the 2w grid points
-nearest the draw.  The grid's Fourier coefficients are
-sqrt(tau / pi) exp(-k^2 tau) sum_r exp(-i k x_r), so one real FFT, a
-conjugate and the factor sqrt(pi / tau) exp(k^2 tau) / M give the sum for
-k < n.  With sigma = 3, w = 12 and tau = pi w / (N^2 sigma (sigma - 1/2))
-the cut-off kernel tail and the aliased modes both stay below e^-30 of
-the kernel peak.  Positions are counted in grid cells, so the period is
-exactly M and wrapping a negative eta adds no systematic phase.  The
-mean stays within 2e-14 of the direct sum of exp(i eta_r t_k) for all
-three noise kinds on grids of 2 to 4001 points; the tests hold it to
-1e-12.  A chunk costs 2w kernel values per draw plus one grid of M + 2w
-cells, whatever n is, and one M-point FFT finishes the sum.
+evaluated by the Taylor-series method of Anderson & Dahleh (SIAM J. Sci.
+Comput. 17, 913 (1996)).  The period is cut into M bins of width
+h = 2 pi / M, M the smallest power of two with M >= 2n, and positions are
+counted in bins, so the period is exactly M and wrapping a negative eta
+adds no systematic phase.  Each draw goes to its nearest bin centre j_r,
+with offset f_r = x_r / h - j_r in [-1/2, 1/2], and
+exp(i k x_r) = exp(i k h j_r) sum_{p<P} (i k h f_r)^p / p!.  Row p of a
+(P, M) histogram sums f_r^p over the draws in each bin.  A real FFT of
+each row, conjugated, weighted by (i k h)^p / p! (a table kept per grid
+length) and summed over p gives the sum for k < n.  Since
+M >= 2n, |k h f_r| < pi / 2, so with P = 20 terms the first omitted term
+is below (pi / 2)^20 / 20! = 3.4e-15 per draw.  The mean stays within
+2e-14 of the direct sum of exp(i eta_r t_k) for all three noise kinds on
+grids of 2 to 4001 points; the tests hold it to 1e-12.  The cost is P
+bincount weights per draw, whatever n is, plus P M histogram cells per
+chunk and P real M-point FFTs per call.  A power-of-two M keeps
+pocketfft off its slow path for lengths with a large prime factor.
 
 Determinism: realizations are split into fixed-size chunks whose
 boundaries depend only on the realization count, and the chunks run in
-order in the calling thread.  np.bincount adds each chunk's kernel values
-in input order, the chunk grids are added in chunk order, and the FFT
-runs once on their sum.  No step calls BLAS (exp, bincount and numpy's
-pocketfft have no BLAS call), whose threaded kernels split sums by the
-BLAS thread count.  So on one numpy build and SIMD dispatch level the
-results are bit-identical for any BLAS thread count and any ``workers``
-value, which must be >= 1 but changes nothing.  Across SIMD levels np.exp
-and its kin take other vector paths, and the values agree to 1e-15.
+order in the calling thread.  np.bincount adds each chunk's weights in
+input order, the chunk histograms are added in chunk order, and the FFTs
+and the weighted sum over p run once on their total.  No step calls BLAS
+(bincount, elementwise products, sums along an axis and numpy's pocketfft
+have no BLAS call), whose threaded kernels split sums by the BLAS thread
+count.  So on one numpy build and SIMD dispatch level the results are
+bit-identical for any BLAS thread count and any ``workers`` value, which
+must be >= 1 but changes nothing.  Across SIMD levels numpy's exp and
+complex products take other vector paths, and the values agree to 1e-15.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,6 +87,7 @@ __all__ = [
     "ObservableSpec",
     "FidTrace",
     "PhaseSum",
+    "zero_noise_signal",
     "evolve_fid",
     "residual_ratio",
 ]
@@ -93,18 +98,18 @@ HAMILTONIAN_KINDS = ("effective", "heisenberg")
 DEFAULT_SEED = 101
 DEFAULT_N_REALIZATIONS = 100_000
 
-# Draws per chunk, and rows of the chunk buffers.  Chunk boundaries fix the
-# reduction order, so changing this changes result bytes.
-_CHUNK_DRAWS = 2048
+# Draws per chunk, and columns of the chunk's power buffer.  Chunk boundaries
+# fix the reduction order, so changing this changes result bytes.
+_CHUNK_DRAWS = 4096
 
-# Gaussian gridding constants of the phase sum (see the module docstring):
-# the spreading grid is oversampled by sigma over 2n modes, and each draw
-# touches _HALF_WIDTH grid points on either side.
-_OVERSAMPLING = 3
-_HALF_WIDTH = 12
+# Taylor-series constants of the phase sum (see the module docstring): each
+# draw's offset from its bin centre is expanded to _TAYLOR_TERMS powers, and
+# one bincount call adds _TERMS_PER_BINCOUNT consecutive powers at a time.
+_TAYLOR_TERMS = 20
+_TERMS_PER_BINCOUNT = 4
 
-# Refuse a phase sum that would touch more kernel values plus chunk-grid cells
-# than this: R * 2 * _HALF_WIDTH + chunks * (M + 2 * _HALF_WIDTH).
+# Refuse a phase sum that would add more bincount entries plus chunk-histogram
+# cells than this: R * _TAYLOR_TERMS + chunks * _TAYLOR_TERMS * M.
 _MAX_WORK_CELLS = 20_000_000_000
 
 # Relative tolerance of the run-time checks behind the D(t) chi(t) factorisation.
@@ -269,44 +274,66 @@ def _zero_noise_signal(h0: np.ndarray, rho: np.ndarray, obs: np.ndarray, t: np.n
     return (a[:, None] * np.exp(-1j * np.outer(w, t))).sum(axis=0)
 
 
+def _bin_count(n_points: int) -> int:
+    """Bins M of the phase sum: the smallest power of two with M >= 2 n_points."""
+    return 1 << (2 * n_points - 1).bit_length()
+
+
+@functools.lru_cache(maxsize=4)
+def _taylor_weights(n_points: int) -> np.ndarray:
+    """Read-only (P, n) table of (-i k h)^p / p!, h = 2 pi / M: the Taylor weights of mode k."""
+    minus_ikh = (-2j * math.pi / _bin_count(n_points)) * np.arange(n_points)
+    weights = np.empty((_TAYLOR_TERMS, n_points), dtype=complex)
+    weights[0] = 1.0
+    for p in range(1, _TAYLOR_TERMS):
+        np.multiply(weights[p - 1], minus_ikh / p, out=weights[p])
+    weights.setflags(write=False)
+    return weights
+
+
 def _phase_sum(noise: NoiseModel, grid: TimeGrid, n_realizations: int, seed: int) -> np.ndarray:
     """R chi(t_k) = sum_r exp(i eta_r t_k) on the grid, by a type-1 NUFFT (see the module docstring)."""
     n = grid.n_points
-    m = _OVERSAMPLING * 2 * n
-    padded_cells = m + 2 * _HALF_WIDTH
-    work = n_realizations * 2 * _HALF_WIDTH + -(-n_realizations // _CHUNK_DRAWS) * padded_cells
+    m = _bin_count(n)
+    terms, group = _TAYLOR_TERMS, _TERMS_PER_BINCOUNT
+    work = n_realizations * terms + -(-n_realizations // _CHUNK_DRAWS) * terms * m
     if work > _MAX_WORK_CELLS:
         raise ValueError(
             f"requested {n_realizations} realizations x {n} grid points needs {work} "
-            f"kernel values and grid cells, over the work limit of {_MAX_WORK_CELLS}"
+            f"bincount entries and histogram cells, over the work limit of {_MAX_WORK_CELLS}"
         )
-    tau = math.pi * _HALF_WIDTH / ((2 * n) ** 2 * _OVERSAMPLING * (_OVERSAMPLING - 0.5))
-    cells_per_rad = m / (2.0 * math.pi)
-    decay = 1.0 / (4.0 * tau * cells_per_rad**2)  # kernel exp(-decay gap^2), gap in grid cells
-    # A draw at x touches the 2w grid points floor(x) - w + 1 ... floor(x) + w.  They are
-    # spread onto a padded line, cell c holding grid point c - w + 1, and folded mod m once.
-    reach = np.arange(2 * _HALF_WIDTH)
+    bins_per_rad = m / (2.0 * math.pi)
+    # Row p of the histogram sums f_r^p over the draws in each bin; one bincount call
+    # fills a block of `group` rows, indexing row q of the block by bin + q m.
+    hist = np.zeros((terms // group, group * m))
     rows = min(_CHUNK_DRAWS, n_realizations)
-    kernel_buf = np.empty((rows, 2 * _HALF_WIDTH))
-    cells_buf = np.empty((rows, 2 * _HALF_WIDTH), dtype=np.int64)
-    padded = np.zeros(padded_cells)
+    powers_buf = np.empty(group * rows)
+    index_buf = np.empty(group * rows, dtype=np.intp)
+    block_offsets = (np.arange(group) * m)[:, None]
     for lo, hi in _chunk_bounds(n_realizations):
-        # x_r = eta_r dt mod 2 pi, in grid cells; a period of exactly m cells keeps the wrap exact.
-        x = np.mod(noise.sample_block(seed, lo, hi - lo) * (grid.dt * cells_per_rad), m)
-        node = np.floor(x)  # x = m (a tiny negative eta) gives node m, which the fold wraps
-        kernel = kernel_buf[: hi - lo]
-        np.subtract((x - node + (_HALF_WIDTH - 1))[:, None], reach, out=kernel)  # gap to each touched point
-        kernel *= kernel
-        kernel *= -decay
-        np.exp(kernel, out=kernel)
-        cells = cells_buf[: hi - lo]
-        np.add(node.astype(np.int64)[:, None], reach, out=cells)
-        padded += np.bincount(cells.ravel(), weights=kernel.ravel(), minlength=padded_cells)
-    fold = (np.arange(padded_cells) - (_HALF_WIDTH - 1)) % m
-    periodic = np.bincount(fold, weights=padded, minlength=m)
-    k = np.arange(n)
-    deconvolve = math.sqrt(math.pi / tau) / m * np.exp(k * k * tau)
-    return deconvolve * np.fft.rfft(periodic)[:n].conj()
+        count = hi - lo
+        # x_r = eta_r dt mod 2 pi, in bins; a period of exactly m bins keeps the wrap exact.
+        x = np.mod(noise.sample_block(seed, lo, count) * (grid.dt * bins_per_rad), m)
+        centre = np.rint(x)
+        powers = powers_buf[: group * count].reshape(group, count)
+        powers[0] = 1.0
+        np.subtract(x, centre, out=powers[1])  # f_r, in [-1/2, 1/2]
+        for p in range(2, group):
+            np.multiply(powers[p - 1], powers[1], out=powers[p])
+        advance = powers[-1] * powers[1]  # f_r^group moves the block to the next `group` powers
+        cells = centre.astype(np.intp)
+        cells &= m - 1  # centre m (x rounded up to a full period) is bin 0
+        index = index_buf[: group * count]
+        np.add(block_offsets, cells, out=index.reshape(group, count))
+        for b in range(terms // group):
+            if b:
+                powers *= advance
+            hist[b] += np.bincount(index, weights=powers_buf[: group * count], minlength=group * m)
+    # Mode k of rfft row p is sum_j H_p[j] exp(-i k h j), so the weighted sum over p is the
+    # conjugate of R chi(t_k) (see _taylor_weights).
+    modes = np.fft.rfft(hist.reshape(terms, m), axis=1)[:, :n]
+    modes *= _taylor_weights(n)
+    return modes.sum(axis=0).conj()
 
 
 @dataclass(frozen=True)
@@ -351,6 +378,39 @@ class PhaseSum:
                 )
 
 
+def _checked_parts(
+    spec: SpinSystemSpec, initial: DensityMatrix, observable: ObservableSpec | None, hamiltonian: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """H0 = H(eta = 0) and the ladder observable O, once the D(t) chi(t) factorisation is checked."""
+    if initial.dim != spec.dim:
+        raise ValueError(f"state dimension {initial.dim} does not match spec dimension {spec.dim}")
+    if hamiltonian not in HAMILTONIAN_KINDS:
+        raise ValueError(f"hamiltonian must be one of {HAMILTONIAN_KINDS}, got {hamiltonian!r}")
+    observable = observable if observable is not None else ObservableSpec.single(spec.n_spins - 1)
+    obs = observable.ladder_matrix(spec.n_spins)
+    build = build_effective if hamiltonian == "effective" else build_rotating_heisenberg
+    h0 = build(spec, eta_z=0.0)
+    _require_factorisation(h0, obs, spec.n_spins)
+    return h0, obs
+
+
+def zero_noise_signal(
+    spec: SpinSystemSpec,
+    initial: DensityMatrix,
+    grid: TimeGrid,
+    observable: ObservableSpec | None = None,
+    hamiltonian: str = "effective",
+) -> np.ndarray:
+    """D(t) on the grid: the complex signal mx + i my of one realization with eta = 0.
+
+    Every realization's signal is D(t) exp(i eta_r t), so ``evolve_fid``
+    returns D(t) chi(t).  Raises ValueError where that factorisation
+    fails, exactly as ``evolve_fid`` does.
+    """
+    h0, obs = _checked_parts(spec, initial, observable, hamiltonian)
+    return _zero_noise_signal(h0, initial.matrix, obs, grid.points)
+
+
 def evolve_fid(
     spec: SpinSystemSpec,
     initial: DensityMatrix,
@@ -371,20 +431,12 @@ def evolve_fid(
     optional precomputed sum for this exact (noise, grid, n_realizations,
     seed); any mismatch is a ValueError.
     """
-    if initial.dim != spec.dim:
-        raise ValueError(f"state dimension {initial.dim} does not match spec dimension {spec.dim}")
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-    if hamiltonian not in HAMILTONIAN_KINDS:
-        raise ValueError(f"hamiltonian must be one of {HAMILTONIAN_KINDS}, got {hamiltonian!r}")
     _resolve_workers(workers)
     if phase_sum is not None:
         phase_sum.require_ensemble(noise, grid, n_realizations, seed)
-    observable = observable if observable is not None else ObservableSpec.single(spec.n_spins - 1)
-    obs = observable.ladder_matrix(spec.n_spins)
-    build = build_effective if hamiltonian == "effective" else build_rotating_heisenberg
-    h0 = build(spec, eta_z=0.0)
-    _require_factorisation(h0, obs, spec.n_spins)
+    h0, obs = _checked_parts(spec, initial, observable, hamiltonian)
     if phase_sum is None:
         phase_sum = PhaseSum.compute(noise, grid, n_realizations, seed)
     signal = _zero_noise_signal(h0, initial.matrix, obs, grid.points) * phase_sum.values

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -37,6 +38,7 @@ from spinfid import (
     run_preset,
     sweep_residuals,
     thermal_state,
+    zero_noise_signal,
 )
 from spinfid.csvio import load_csv
 
@@ -395,11 +397,37 @@ class TestPhaseSum:
         assert np.max(np.abs(got - direct_mean(etas, default_grid))) <= 1e-12
 
     def test_draws_on_grid_nodes(self, default_grid):
-        cells = spinfid.engine._OVERSAMPLING * 2 * default_grid.n_points
+        cells = spinfid.engine._bin_count(default_grid.n_points)
         nodes = np.array([0, 1, 2, 5, 17, 123, 1000, cells - 1, cells + 3, -1, -4, -600, -cells - 7])
-        etas = 2.0 * np.pi * nodes / (cells * default_grid.dt)
-        position = etas * (default_grid.dt * cells / (2.0 * np.pi))
+        # The engine's own scale from radians per step to bins, so the positions come out exact.
+        bins_per_eta = default_grid.dt * (cells / (2.0 * np.pi))
+        etas = nodes / bins_per_eta
+        position = etas * bins_per_eta
         assert np.count_nonzero(position == np.round(position)) > nodes.size // 2
+        got = nufft_mean(FixedDraws(etas), default_grid, etas.size)
+        assert np.max(np.abs(got - direct_mean(etas, default_grid))) <= 1e-12
+
+    def test_taylor_remainder_bound_holds_for_the_module_constants(self):
+        # |k h f| < pi / 2 for every mode k < n and offset |f| <= 1/2 once M >= 2n,
+        # so the first omitted term of the series is at most (pi / 2)^P / P!.
+        terms = spinfid.engine._TAYLOR_TERMS
+        assert (np.pi / 2) ** terms / math.factorial(terms) <= 1e-14
+        assert terms % spinfid.engine._TERMS_PER_BINCOUNT == 0
+
+    @pytest.mark.parametrize("n_points", [2, 3, 481, 482, 4001])
+    def test_bin_count_is_the_smallest_power_of_two_covering_twice_the_grid(self, n_points):
+        bins = spinfid.engine._bin_count(n_points)
+        assert bins & (bins - 1) == 0
+        assert 2 * n_points <= bins < 4 * n_points
+
+    def test_draws_half_a_bin_from_a_centre(self, default_grid):
+        # Offsets of +-1/2 bin make |k h f| largest, at the last mode k = n - 1.
+        bins = spinfid.engine._bin_count(default_grid.n_points)
+        halves = np.array([0, 1, 2, 7, 100, 511, bins - 1, bins + 5, -1, -2, -300, -bins - 3]) + 0.5
+        bins_per_eta = default_grid.dt * (bins / (2.0 * np.pi))
+        etas = halves / bins_per_eta
+        position = np.mod(etas * bins_per_eta, bins)
+        assert np.all(np.abs(position - np.rint(position)) == 0.5)
         got = nufft_mean(FixedDraws(etas), default_grid, etas.size)
         assert np.max(np.abs(got - direct_mean(etas, default_grid))) <= 1e-12
 
@@ -412,6 +440,38 @@ class TestPhaseSum:
         assert np.array_equal(serial, PhaseSum.compute(noise, default_grid, n, 4, workers=3).values / n)
         reference = direct_mean(noise.sample_block(4, 0, n), default_grid)
         assert np.max(np.abs(serial - reference)) <= 1e-12
+
+
+class TestZeroNoiseSignal:
+    """D(t) is public, and evolve_fid is D(t) times the phase sum over R, bit for bit."""
+
+    @pytest.mark.parametrize("hamiltonian", ["effective", "heisenberg"])
+    def test_trace_is_signal_times_phase_sum(self, hamiltonian, default_grid):
+        spec = SpinSystemSpec(polarization=1.0, magnification=5.0)
+        initial, noise, n = pulsed_pps(spec), NoiseModel("lorentzian", 28.0), 700
+        trace = evolve_fid(spec, initial, noise, default_grid, n_realizations=n, seed=8, hamiltonian=hamiltonian)
+        signal = zero_noise_signal(spec, initial, default_grid, hamiltonian=hamiltonian)
+        expected = signal * PhaseSum.compute(noise, default_grid, n, 8).values
+        expected /= n
+        assert trace.mx.tobytes() == expected.real.tobytes()
+        assert trace.my.tobytes() == expected.imag.tobytes()
+
+    def test_starts_at_the_readout_of_the_state(self, default_grid):
+        spec = SpinSystemSpec(polarization=1.0)
+        initial = pulsed_thermal(spec)
+        observable = ObservableSpec.total()
+        signal = zero_noise_signal(spec, initial, default_grid, observable=observable)
+        assert signal.shape == (default_grid.n_points,)
+        assert abs(signal[0] - np.trace(initial.matrix @ observable.ladder_matrix(spec.n_spins))) <= 1e-15
+
+    def test_refuses_a_hamiltonian_that_breaks_the_factorisation(self, monkeypatch, default_grid):
+        spec = SpinSystemSpec(polarization=1.0)
+        original = spinfid.engine.build_effective
+        i_x = 0.5 * embed(pauli("x"), 1, spec.n_spins)
+        monkeypatch.setattr(spinfid.engine, "build_effective",
+                            lambda spec, eta_z=0.0: original(spec, eta_z) + TWO_PI * 50.0 * i_x)
+        with pytest.raises(ValueError, match="conserve total I_z"):
+            zero_noise_signal(spec, pulsed_pps(spec), default_grid)
 
 
 class TestSharedPhaseSum:
