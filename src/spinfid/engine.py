@@ -44,21 +44,24 @@ counted in bins, so the period is exactly M and wrapping a negative eta
 adds no systematic phase.  Each draw goes to its nearest bin centre j_r,
 with offset f_r = x_r / h - j_r in [-1/2, 1/2], and
 exp(i k x_r) = exp(i k h j_r) sum_{p<P} (i k h f_r)^p / p!.  Row p of a
-(P, M) histogram sums f_r^p over the draws in each bin.  A real FFT of
-each row, conjugated, weighted by (i k h)^p / p! (a table kept per grid
-length) and summed over p gives the sum for k < n.  Since
-M >= 2n, |k h f_r| < pi / 2, so with P = 20 terms the first omitted term
-is below (pi / 2)^20 / 20! = 3.4e-15 per draw.  The mean stays within
-2e-14 of the direct sum of exp(i eta_r t_k) for all three noise kinds on
-grids of 2 to 4001 points; the tests hold it to 1e-12.  The cost is P
-bincount weights per draw, whatever n is, plus P M histogram cells per
-chunk and P real M-point FFTs per call.  A power-of-two M keeps
-pocketfft off its slow path for lengths with a large prime factor.
+(P, M) histogram sums f_r^p over the draws in each bin: per chunk, one
+np.bincount call per row, with f_r^p formed as a running product of
+offsets.  A real FFT of each row, conjugated, weighted by
+(i k h)^p / p! (a table kept per grid length) and summed over p gives
+the sum for k < n.  Since M >= 2n, |k h f_r| < pi / 2, so with P = 20
+terms the first omitted term is below (pi / 2)^20 / 20! = 3.4e-15 per
+draw.  The mean stays within 2e-14 of the direct sum of exp(i eta_r t_k)
+for all three noise kinds on grids of 2 to 4001 points; the tests hold
+it to 1e-12.  The cost is P products and P bincount weights per draw,
+whatever n is, plus P M histogram cells per chunk and P real M-point
+FFTs per call.  A power-of-two M keeps pocketfft off its slow path for
+lengths with a large prime factor.
 
 Determinism: realizations are split into fixed-size chunks whose
 boundaries depend only on the realization count, and the chunks run in
-order in the calling thread.  np.bincount adds each chunk's weights in
-input order, the chunk histograms are added in chunk order, and the FFTs
+order in the calling thread.  Each f_r^p is the product of p offsets
+taken in the same order, np.bincount adds each row's weights in input
+order, the chunk histograms are added in chunk order, and the FFTs
 and the weighted sum over p run once on their total.  No step calls BLAS
 (bincount, elementwise products, sums along an axis and numpy's pocketfft
 have no BLAS call), whose threaded kernels split sums by the BLAS thread
@@ -98,19 +101,23 @@ HAMILTONIAN_KINDS = ("effective", "heisenberg")
 DEFAULT_SEED = 101
 DEFAULT_N_REALIZATIONS = 100_000
 
-# Draws per chunk, and columns of the chunk's power buffer.  Chunk boundaries
-# fix the reduction order, so changing this changes result bytes.
+# Draws per chunk.  Chunk boundaries fix the reduction order, so changing this
+# changes result bytes.
 _CHUNK_DRAWS = 4096
 
-# Taylor-series constants of the phase sum (see the module docstring): each
-# draw's offset from its bin centre is expanded to _TAYLOR_TERMS powers, and
-# one bincount call adds _TERMS_PER_BINCOUNT consecutive powers at a time.
+# Taylor-series terms of the phase sum (see the module docstring): each draw's
+# offset from its bin centre is expanded to _TAYLOR_TERMS powers.
 _TAYLOR_TERMS = 20
-_TERMS_PER_BINCOUNT = 4
 
 # Refuse a phase sum that would add more bincount entries plus chunk-histogram
-# cells than this: R * _TAYLOR_TERMS + chunks * _TAYLOR_TERMS * M.
+# cells than _MAX_WORK_CELLS (R * _TAYLOR_TERMS + chunks * _TAYLOR_TERMS * M),
+# or whose (_TAYLOR_TERMS, M) histogram would hold more than
+# _MAX_HISTOGRAM_CELLS.  The work bound caps time but not memory: one draw on
+# a huge grid does little work yet needs the whole histogram and its rfft,
+# about 8 bytes a cell each.  M <= 2^20 (grids up to 524 288 points, 128 times
+# the largest preset grid) keeps the two under 340 MB together.
 _MAX_WORK_CELLS = 20_000_000_000
+_MAX_HISTOGRAM_CELLS = _TAYLOR_TERMS << 20
 
 # Relative tolerance of the run-time checks behind the D(t) chi(t) factorisation.
 _FACTORISATION_TOL = 1e-9
@@ -155,6 +162,8 @@ class ObservableSpec:
             raise ValueError(f"observable kind must be 'single' or 'total', got {self.kind!r}")
         if self.kind == "single" and self.index < 0:
             raise ValueError(f"observable index must be >= 0, got {self.index}")
+        if self.kind == "total":
+            object.__setattr__(self, "index", 0)  # a total readout has no spin index
 
     @classmethod
     def single(cls, index: int) -> "ObservableSpec":
@@ -162,7 +171,7 @@ class ObservableSpec:
 
     @classmethod
     def total(cls) -> "ObservableSpec":
-        return cls(kind="total", index=0)
+        return cls(kind="total")
 
     def sites(self, n_spins: int) -> list[int]:
         if self.kind == "total":
@@ -295,43 +304,30 @@ def _phase_sum(noise: NoiseModel, grid: TimeGrid, n_realizations: int, seed: int
     """R chi(t_k) = sum_r exp(i eta_r t_k) on the grid, by a type-1 NUFFT (see the module docstring)."""
     n = grid.n_points
     m = _bin_count(n)
-    terms, group = _TAYLOR_TERMS, _TERMS_PER_BINCOUNT
+    terms = _TAYLOR_TERMS
     work = n_realizations * terms + -(-n_realizations // _CHUNK_DRAWS) * terms * m
-    if work > _MAX_WORK_CELLS:
+    if work > _MAX_WORK_CELLS or terms * m > _MAX_HISTOGRAM_CELLS:
         raise ValueError(
             f"requested {n_realizations} realizations x {n} grid points needs {work} "
-            f"bincount entries and histogram cells, over the work limit of {_MAX_WORK_CELLS}"
+            f"bincount entries and histogram cells and a {terms} x {m} histogram, over the "
+            f"work limit of {_MAX_WORK_CELLS} cells or {_MAX_HISTOGRAM_CELLS} histogram cells"
         )
     bins_per_rad = m / (2.0 * math.pi)
-    # Row p of the histogram sums f_r^p over the draws in each bin; one bincount call
-    # fills a block of `group` rows, indexing row q of the block by bin + q m.
-    hist = np.zeros((terms // group, group * m))
-    rows = min(_CHUNK_DRAWS, n_realizations)
-    powers_buf = np.empty(group * rows)
-    index_buf = np.empty(group * rows, dtype=np.intp)
-    block_offsets = (np.arange(group) * m)[:, None]
+    # Row p of the histogram sums f_r^p over the draws in each bin.
+    hist = np.zeros((terms, m))
     for lo, hi in _chunk_bounds(n_realizations):
-        count = hi - lo
         # x_r = eta_r dt mod 2 pi, in bins; a period of exactly m bins keeps the wrap exact.
-        x = np.mod(noise.sample_block(seed, lo, count) * (grid.dt * bins_per_rad), m)
+        x = np.mod(noise.sample_block(seed, lo, hi - lo) * (grid.dt * bins_per_rad), m)
         centre = np.rint(x)
-        powers = powers_buf[: group * count].reshape(group, count)
-        powers[0] = 1.0
-        np.subtract(x, centre, out=powers[1])  # f_r, in [-1/2, 1/2]
-        for p in range(2, group):
-            np.multiply(powers[p - 1], powers[1], out=powers[p])
-        advance = powers[-1] * powers[1]  # f_r^group moves the block to the next `group` powers
-        cells = centre.astype(np.intp)
-        cells &= m - 1  # centre m (x rounded up to a full period) is bin 0
-        index = index_buf[: group * count]
-        np.add(block_offsets, cells, out=index.reshape(group, count))
-        for b in range(terms // group):
-            if b:
-                powers *= advance
-            hist[b] += np.bincount(index, weights=powers_buf[: group * count], minlength=group * m)
+        offset = x - centre  # f_r, in [-1/2, 1/2]
+        cells = centre.astype(np.intp) & (m - 1)  # centre m (x rounded up to a full period) is bin 0
+        power = np.ones_like(offset)
+        for row in hist:
+            row += np.bincount(cells, weights=power, minlength=m)
+            power *= offset
     # Mode k of rfft row p is sum_j H_p[j] exp(-i k h j), so the weighted sum over p is the
     # conjugate of R chi(t_k) (see _taylor_weights).
-    modes = np.fft.rfft(hist.reshape(terms, m), axis=1)[:, :n]
+    modes = np.fft.rfft(hist, axis=1)[:, :n]
     modes *= _taylor_weights(n)
     return modes.sum(axis=0).conj()
 

@@ -202,8 +202,12 @@ class TestRoundTrip:
         cfg = preset_config(name)
         assert parse_config(serialize_config(cfg)) == cfg
 
-    def test_minimal_round_trips(self):
-        cfg = parse_config(MINIMAL)
+    @pytest.mark.parametrize(
+        "cfg",
+        [parse_config(MINIMAL), replace(preset_config("fig4b"), observable=ObservableSpec(kind="total"))],
+        ids=["minimal", "fig4b-total-readout"],
+    )
+    def test_config_round_trips(self, cfg):
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_parse_config_file(self, tmp_path):

@@ -1,0 +1,29 @@
+"""The benchmark's own tests, run in a child process.
+
+``perfbench/`` patches and imports package names (``engine._resolve_workers``,
+``FidTrace.from_components``, the ``tracing.TARGETS`` entries), so a rename
+that breaks the benchmark fails here too.  It runs as a separate pytest
+because its ``conftest.py`` would clash with the one in ``tests/``.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import subprocess_env
+
+REPO_DIR = Path(__file__).resolve().parent.parent
+
+
+def test_perfbench_tests_pass():
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "perfbench", "-q", "-p", "no:cacheprovider"],
+        capture_output=True,
+        text=True,
+        cwd=REPO_DIR,
+        env=subprocess_env(),
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
