@@ -19,8 +19,9 @@ magnitude column matches ``hypot(mx, my)``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,6 +48,25 @@ def _format_value(value: object) -> str:
     return str(value)
 
 
+def _cells(array: np.ndarray) -> Iterable[str]:
+    # repr of a Python float is _format_value's float form, without a per-cell call.
+    return map(repr, array.tolist()) if array.dtype == np.float64 else map(_format_value, array)
+
+
+@functools.lru_cache(maxsize=4)
+def _time_cells(grid: TimeGrid) -> tuple[str, ...]:
+    """The t_s text of every trace on ``grid``: its points formatted once per grid."""
+    return tuple(_cells(grid.points))
+
+
+def _write_rows(path: str, header: Sequence[str], cells: list, metadata: Mapping[str, object] | None) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(",".join(row) + "\n" for row in zip(*cells))
+        for key, value in (metadata or {}).items():
+            handle.write(f"# {key} = {_format_value(value)}\n")
+
+
 def write_csv(
     path: str,
     header: Sequence[str],
@@ -60,16 +80,7 @@ def write_csv(
     lengths = {array.shape for array in arrays}
     if len(lengths) > 1 or (arrays and arrays[0].ndim != 1):
         raise ValueError(f"columns must be 1-d and equally long, got shapes {sorted(lengths)}")
-    # repr of a Python float is _format_value's float form, without a per-cell call.
-    cells = [
-        map(repr, array.tolist()) if array.dtype == np.float64 else map(_format_value, array)
-        for array in arrays
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(row) + "\n" for row in zip(*cells))
-        for key, value in (metadata or {}).items():
-            handle.write(f"# {key} = {_format_value(value)}\n")
+    _write_rows(path, header, [_cells(array) for array in arrays], metadata)
 
 
 def emit_trace_csv(
@@ -82,23 +93,18 @@ def emit_trace_csv(
 
     Each entry of ``oracles`` maps a short model name (e.g. ``thermal``)
     to a magnitude array on the same grid; it lands in a column called
-    ``oracle_<name>_mperp``.
+    ``oracle_<name>_mperp``.  The t_s text is formatted once per grid.
     """
     header = list(TRACE_COLUMNS)
-    columns = [trace.grid.points, trace.mx, trace.my, trace.mperp]
+    columns = [trace.mx, trace.my, trace.mperp]
     for name, values in (oracles or {}).items():
         values = np.asarray(values, dtype=float)
         if values.shape != trace.mperp.shape:
             raise ValueError(f"oracle column {name!r} has shape {values.shape}, trace has {trace.mperp.shape}")
         header.append(f"{ORACLE_PREFIX}{name}{ORACLE_SUFFIX}")
         columns.append(values)
-    merged: dict[str, object] = {
-        "seed": trace.seed,
-        "n_realizations": trace.n_realizations,
-        "polarization": trace.polarization,
-    }
-    merged.update(metadata or {})
-    write_csv(path, header, columns, merged)
+    merged = {"seed": trace.seed, "n_realizations": trace.n_realizations, "polarization": trace.polarization}
+    _write_rows(path, header, [_time_cells(trace.grid), *map(_cells, columns)], {**merged, **(metadata or {})})
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,7 @@ import numpy as np
 from .analytic import trapezoid_weights
 from .hamiltonians import SpinSystemSpec, build_effective, build_rotating_heisenberg
 from .noise import NoiseModel
-from .operators import DensityMatrix, embed, pauli
+from .operators import DensityMatrix, spin_operators
 
 __all__ = [
     "DEFAULT_SEED",
@@ -136,9 +136,12 @@ class TimeGrid:
         if self.n_points < 2:
             raise ValueError(f"n_points must be at least 2, got {self.n_points}")
 
-    @property
+    @functools.cached_property
     def points(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.n_points)
+        """Sample times np.linspace(0, t_max, n_points), s: built once per grid and shared, so read-only."""
+        t = np.linspace(0.0, self.t_max, self.n_points)
+        t.setflags(write=False)
+        return t
 
     @property
     def dt(self) -> float:
@@ -183,8 +186,8 @@ class ObservableSpec:
     def ladder_matrix(self, n_spins: int) -> np.ndarray:
         """Complex observable O = sum_sites (I_x + i I_y); Tr(rho O) = mx + i my."""
         out = np.zeros((2**n_spins, 2**n_spins), dtype=complex)
-        for site in self.sites(n_spins):
-            out += 0.5 * (embed(pauli("x"), site, n_spins) + 1j * embed(pauli("y"), site, n_spins))
+        for i_x, i_y, _ in spin_operators(n_spins)[self.sites(n_spins)]:
+            out += i_x + 1j * i_y
         return out
 
 
@@ -256,7 +259,7 @@ def _chunk_bounds(n_realizations: int) -> list[tuple[int, int]]:
 
 def _require_factorisation(h0: np.ndarray, obs: np.ndarray, n_spins: int) -> None:
     """Raise unless [H0, sum_i I_iz] = 0 and [sum_i I_iz, O] = O (see the module docstring)."""
-    z_total = sum(0.5 * embed(pauli("z"), s, n_spins) for s in range(n_spins))
+    z_total = sum(spin_operators(n_spins)[:, 2])
     commutator = float(np.linalg.norm(h0 @ z_total - z_total @ h0))
     if commutator > _FACTORISATION_TOL * max(1.0, float(np.linalg.norm(h0))):
         raise ValueError(

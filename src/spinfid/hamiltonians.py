@@ -23,6 +23,9 @@ Three builders are provided:
 
 The static noise offset eta_z (rad/s) enters every builder as a common
 shift of all spins' longitudinal frequencies.
+
+The builders read every site's I_x, I_y, I_z from the table that
+``operators.spin_operators`` builds once per register size.
 """
 
 from __future__ import annotations
@@ -32,14 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import embed, pauli
+from .operators import MAX_SPINS, spin_operators
 
 __all__ = ["SpinSystemSpec", "build_lab", "build_effective", "build_rotating_heisenberg"]
 
 TWO_PI = 2.0 * math.pi
-
-# Largest register the dense builders accept.
-MAX_SPINS = 4
 
 
 @dataclass(frozen=True)
@@ -110,27 +110,26 @@ class SpinSystemSpec:
         raise ValueError(f"pair ({i}, {j}) out of range")
 
 
-def _iz_ops(n: int) -> list[np.ndarray]:
-    return [0.5 * embed(pauli("z"), site, n) for site in range(n)]
-
-
 def _zeeman(spec: SpinSystemSpec, eta_z: float, carrier: float) -> np.ndarray:
     """sum_i (carrier + delta_i) I_iz + eta_z * sum_i I_iz, in rad/s."""
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for site, iz in enumerate(_iz_ops(spec.n_spins)):
+    for site, iz in enumerate(spin_operators(spec.n_spins)[:, 2]):
         h += (spec.scale * (carrier + spec.delta[site]) + eta_z) * iz
+    return h
+
+
+def _add_exchange(h: np.ndarray, spec: SpinSystemSpec, factor: float, axes: tuple[int, ...]) -> np.ndarray:
+    """h += factor * J_ij * I_ia I_ja for every pair i < j and each axis index a in ``axes``."""
+    ops = spin_operators(spec.n_spins)
+    for i, j, val in spec.pairs():
+        for a in axes:
+            h += factor * val * (ops[i, a] @ ops[j, a])
     return h
 
 
 def build_lab(spec: SpinSystemSpec, eta_z: float = 0.0, omega0: float = 0.0) -> np.ndarray:
     """Lab-frame Hamiltonian (rad/s): Zeeman at carrier omega0 (Hz) + isotropic couplings."""
-    h = _zeeman(spec, eta_z, carrier=omega0)
-    for i, j, val in spec.pairs():
-        for axis in ("x", "y", "z"):
-            a = 0.5 * embed(pauli(axis), i, spec.n_spins)
-            b = 0.5 * embed(pauli(axis), j, spec.n_spins)
-            h += spec.scale * val * (a @ b)
-    return h
+    return _add_exchange(_zeeman(spec, eta_z, carrier=omega0), spec, spec.scale, (0, 1, 2))
 
 
 def build_effective(spec: SpinSystemSpec, eta_z: float = 0.0) -> np.ndarray:
@@ -138,11 +137,7 @@ def build_effective(spec: SpinSystemSpec, eta_z: float = 0.0) -> np.ndarray:
 
     H = sum_i delta_i I_iz + m * sum_{i<j} J_ij I_iz I_jz + eta_z sum_i I_iz
     """
-    h = _zeeman(spec, eta_z, carrier=0.0)
-    izs = _iz_ops(spec.n_spins)
-    for i, j, val in spec.pairs():
-        h += spec.scale * spec.magnification * val * (izs[i] @ izs[j])
-    return h
+    return _add_exchange(_zeeman(spec, eta_z, carrier=0.0), spec, spec.scale * spec.magnification, (2,))
 
 
 def build_rotating_heisenberg(spec: SpinSystemSpec, eta_z: float = 0.0) -> np.ndarray:
@@ -153,10 +148,4 @@ def build_rotating_heisenberg(spec: SpinSystemSpec, eta_z: float = 0.0) -> np.nd
     magnetization between spins and is what the secular approximation
     discards.
     """
-    h = build_effective(spec, eta_z)
-    for i, j, val in spec.pairs():
-        for axis in ("x", "y"):
-            a = 0.5 * embed(pauli(axis), i, spec.n_spins)
-            b = 0.5 * embed(pauli(axis), j, spec.n_spins)
-            h += spec.scale * spec.magnification * val * (a @ b)
-    return h
+    return _add_exchange(build_effective(spec, eta_z), spec, spec.scale * spec.magnification, (0, 1))

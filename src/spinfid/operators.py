@@ -12,17 +12,25 @@ Conventions used throughout the package:
 Matrix exponentials of Hermitian generators are evaluated through an
 eigendecomposition, which keeps the resulting propagators unitary to
 machine precision for the 8x8 problems this package targets.
+
+``spin_operators(n)`` builds every site's I_x, I_y, I_z once per register
+size.  Every Hamiltonian, readout and thermal state shares that table, so
+it is read-only: one caller's write would change every later run.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["pauli", "embed", "expm_hermitian", "Propagator", "DensityMatrix"]
+__all__ = ["MAX_SPINS", "pauli", "embed", "spin_operators", "expm_hermitian", "Propagator", "DensityMatrix"]
 
 HERMITICITY_TOL = 1e-10
+
+# Largest register the dense builders accept.
+MAX_SPINS = 4
 
 PAULI = {
     "i": np.eye(2, dtype=complex),
@@ -78,6 +86,16 @@ def embed(op: np.ndarray, site: int, n_spins: int) -> np.ndarray:
     right = np.eye(2 ** (n_spins - site - 1), dtype=complex)
     out = left[:, None, None, :, None, None] * op[None, :, None, None, :, None] * right[None, None, :, None, None, :]
     return out.reshape(2**n_spins, 2**n_spins)
+
+
+@functools.lru_cache(maxsize=MAX_SPINS)
+def spin_operators(n_spins: int) -> np.ndarray:
+    """Shared read-only (n_spins, 3, 2**n, 2**n) table: [site, a] = 0.5 * embed(pauli("xyz"[a]), site, n_spins)."""
+    if not 1 <= n_spins <= MAX_SPINS:
+        raise ValueError(f"n_spins must be in [1, {MAX_SPINS}], got {n_spins}")
+    table = np.array([[0.5 * embed(pauli(axis), site, n_spins) for axis in "xyz"] for site in range(n_spins)])
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)

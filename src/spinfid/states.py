@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import SpinSystemSpec
-from .operators import DensityMatrix, embed, pauli
+from .operators import DensityMatrix, embed, pauli, spin_operators
 
 __all__ = ["STOCK_LABEL", "PulseSpec", "thermal_state", "pps_state", "apply_pulse", "parse_label"]
 
@@ -54,12 +54,11 @@ class PulseSpec:
 
 
 def thermal_state(spec: SpinSystemSpec) -> DensityMatrix:
-    """Linearized thermal state I/2^n + (p/2^n) sum_i sigma_iz."""
-    n = spec.n_spins
+    """Linearized thermal state I/2^n + (p/2^n) sum_i sigma_iz, with sigma_iz = 2 I_iz."""
     dim = spec.dim
     rho = np.eye(dim, dtype=complex) / dim
-    for site in range(n):
-        rho += (spec.polarization / dim) * embed(pauli("z"), site, n)
+    for iz in spin_operators(spec.n_spins)[:, 2]:
+        rho += (spec.polarization / dim) * (2.0 * iz)
     return DensityMatrix(rho)
 
 

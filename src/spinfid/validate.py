@@ -11,6 +11,7 @@ config/CSV round-trips.
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 from dataclasses import dataclass, replace
@@ -30,7 +31,7 @@ from .hamiltonians import (
     build_rotating_heisenberg,
 )
 from .noise import NoiseModel
-from .operators import PAULI, embed, expm_hermitian, pauli
+from .operators import MAX_SPINS, PAULI, embed, expm_hermitian, pauli, spin_operators
 from .states import PulseSpec, apply_pulse, pps_state, thermal_state
 
 __all__ = ["CheckResult", "run_validation"]
@@ -61,13 +62,15 @@ def _check_embedding() -> str:
     want = np.array([1.0, 1.0, -1.0, -1.0])
     if not np.array_equal(got, want):
         raise AssertionError(f"site-0 embedding gave diagonal {got}")
-    # Independent reference: the explicit Kronecker product, compared bit for bit.
-    for axis, op in PAULI.items():
-        for site in range(3):
-            kron = np.kron(np.kron(np.eye(2**site, dtype=complex), op), np.eye(2 ** (2 - site), dtype=complex))
-            if embed(op, site, 3).tobytes() != kron.tobytes():
-                raise AssertionError(f"embed(pauli({axis!r}), {site}, 3) differs from the Kronecker product")
-    return "site 0 is the slowest-varying qubit; 3-spin embeddings equal np.kron bit for bit"
+    # Independent reference: the explicit Kronecker product, compared bit for bit with embed and the operator table.
+    for n in range(1, MAX_SPINS + 1):
+        for site, (axis, op) in itertools.product(range(n), PAULI.items()):
+            kron = np.kron(np.kron(np.eye(2**site, dtype=complex), op), np.eye(2 ** (n - 1 - site), dtype=complex))
+            if embed(op, site, n).tobytes() != kron.tobytes():
+                raise AssertionError(f"embed(pauli({axis!r}), {site}, {n}) differs from the Kronecker product")
+            if axis != "i" and spin_operators(n)[site, "xyz".index(axis)].tobytes() != (0.5 * kron).tobytes():
+                raise AssertionError(f"spin_operators({n})[{site}, {axis!r}] differs from 0.5 * the Kronecker product")
+    return f"site 0 is the slowest-varying qubit; embed and 2 * spin_operators equal np.kron bitwise, n <= {MAX_SPINS}"
 
 
 def _check_propagator() -> str:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinfid import FidTrace, NoiseModel, TimeGrid, evolve_fid
+import spinfid.csvio
 from spinfid.csvio import CsvFormatError, _format_value, emit_trace_csv, load_csv, write_csv
 from spinfid.experiments import run_preset
 from spinfid.states import apply_pulse, pps_state
@@ -142,6 +143,41 @@ class TestWriterBytes:
         table = load_csv(str(path))
         expected = cell_by_cell_bytes(list(table.columns), list(table.columns.values()), table.metadata)
         assert path.read_bytes() == expected
+
+
+def random_trace(grid: TimeGrid, seed: int) -> FidTrace:
+    rng = np.random.default_rng(seed)
+    mx, my = rng.normal(size=(2, grid.n_points))
+    return FidTrace.from_components(grid, mx, my, n_realizations=7, seed=seed, polarization=-0.5)
+
+
+class TestTimeColumnText:
+    @pytest.mark.parametrize("n_points", [2, 481, 4001])
+    def test_time_text_is_repr_of_each_grid_point(self, tmp_path, n_points):
+        grid = TimeGrid(t_max=0.024, n_points=n_points)
+        path = tmp_path / "trace.csv"
+        emit_trace_csv(str(path), random_trace(grid, 3))
+        lines = path.read_text().splitlines()[1 : n_points + 1]
+        assert [line.split(",")[0] for line in lines] == [repr(t) for t in grid.points.tolist()]
+
+    def test_back_to_back_traces_match_inline_reference(self, tmp_path):
+        # The second trace lives on an equal but distinct grid object and takes its t_s text from the cache.
+        traces = [random_trace(TimeGrid(t_max=0.0371, n_points=997), seed) for seed in (5, 6)]
+        oracle = np.linspace(1.0, 0.0, 997)
+        for k, trace in enumerate(traces):
+            hits = spinfid.csvio._time_cells.cache_info().hits
+            path = tmp_path / f"trace{k}.csv"
+            emit_trace_csv(str(path), trace, oracles={"model": oracle}, metadata={"config_hash": "abc"})
+            if k:
+                assert spinfid.csvio._time_cells.cache_info().hits == hits + 1
+            rows = zip(trace.grid.points.tolist(), trace.mx.tolist(), trace.my.tolist(), trace.mperp.tolist(),
+                       oracle.tolist())
+            expected = (
+                "t_s,mx,my,mperp,oracle_model_mperp\n"
+                + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+                + f"# seed = {trace.seed}\n# n_realizations = 7\n# polarization = -0.5\n# config_hash = abc\n"
+            )
+            assert path.read_bytes() == expected.encode()
 
 
 class TestWriterValidation:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinfid.engine
+import spinfid.operators
 from spinfid import (
     DensityMatrix,
     FidTrace,
@@ -72,6 +73,19 @@ class TestTimeGrid:
             TimeGrid(t_max=0.0)
         with pytest.raises(ValueError):
             TimeGrid(n_points=1)
+
+    @pytest.mark.parametrize("t_max, n_points", [(0.024, 481), (0.0371, 997), (1.0, 2)])
+    def test_points_are_one_shared_read_only_linspace(self, t_max, n_points):
+        grid = TimeGrid(t_max=t_max, n_points=n_points)
+        points = grid.points
+        assert grid.points is points
+        assert not points.flags.writeable
+        with pytest.raises(ValueError):
+            points[0] = 1.0
+        assert points.tobytes() == np.linspace(0.0, t_max, n_points).tobytes()
+        # The cached array takes no part in equality or hashing.
+        fresh = TimeGrid(t_max=t_max, n_points=n_points)
+        assert fresh == grid and hash(fresh) == hash(grid)
 
 
 class TestObservableSpec:
@@ -547,6 +561,26 @@ class TestSharedPhaseSum:
         baseline = trace(0.0)
         expected = np.array([residual_ratio(trace(m), baseline) for m in table["m"]])
         assert table["r_numeric"].tobytes() == expected.tobytes()
+
+
+class TestOperatorReuse:
+    def test_repeated_heisenberg_run_embeds_at_most_once(self, monkeypatch):
+        # After a first run on a 3-spin register, only apply_pulse's rotation is embedded.
+        config = preset_config("fig4b", n_realizations=200)
+        assert config.hamiltonian == "heisenberg" and config.system.n_spins == 3
+        run_experiment(config, workers=1)
+        original = spinfid.operators.embed
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "spinfid" and getattr(module, "embed", None) is original:
+                monkeypatch.setattr(module, "embed", counted)
+        run_experiment(config, workers=1)
+        assert len(calls) <= 1
 
 
 class TestCouplingInvariance:

@@ -8,12 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinfid import (
+    MAX_SPINS,
     DensityMatrix,
+    ObservableSpec,
     Propagator,
     PulseSpec,
+    SpinSystemSpec,
+    build_effective,
+    build_lab,
+    build_rotating_heisenberg,
     embed,
     expm_hermitian,
     pauli,
+    spin_operators,
 )
 
 RNG = np.random.default_rng(7)
@@ -22,6 +29,54 @@ RNG = np.random.default_rng(7)
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + a.conj().T) / 2.0
+
+
+def kron_site(op: np.ndarray, site: int, n_spins: int) -> np.ndarray:
+    """Reference embedding by explicit Kronecker products."""
+    return np.kron(np.kron(np.eye(2**site, dtype=complex), op), np.eye(2 ** (n_spins - site - 1), dtype=complex))
+
+
+def kron_hamiltonian(spec: SpinSystemSpec, eta_z: float, carrier: float, couplings) -> np.ndarray:
+    """Zeeman terms, then factor * J_ij * I_ia I_ja per (factor, axes) entry, pair and axis, all built by np.kron."""
+    n = spec.n_spins
+    spin = {(site, axis): 0.5 * kron_site(pauli(axis), site, n) for site in range(n) for axis in "xyz"}
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for site in range(n):
+        h += (spec.scale * (carrier + spec.delta[site]) + eta_z) * spin[site, "z"]
+    for factor, axes in couplings:
+        for i, j, val in spec.pairs():
+            for axis in axes:
+                h += factor * val * (spin[i, axis] @ spin[j, axis])
+    return h
+
+
+def kron_ladder(sites: list[int], n_spins: int) -> np.ndarray:
+    out = np.zeros((2**n_spins, 2**n_spins), dtype=complex)
+    for site in sites:
+        out += 0.5 * (kron_site(pauli("x"), site, n_spins) + 1j * kron_site(pauli("y"), site, n_spins))
+    return out
+
+
+SPEC3 = SpinSystemSpec(delta=(0.0, -1393.0, 1027.0), j=(-130.0, 69.0, 50.0), magnification=2.5)
+ETA = -183.7
+OMEGA0 = 4.0e4
+ROTATING = SPEC3.scale * SPEC3.magnification
+RUN_PATH_MATRICES = {
+    "effective": (
+        lambda: build_effective(SPEC3, ETA),
+        lambda: kron_hamiltonian(SPEC3, ETA, 0.0, [(ROTATING, "z")]),
+    ),
+    "heisenberg": (
+        lambda: build_rotating_heisenberg(SPEC3, ETA),
+        lambda: kron_hamiltonian(SPEC3, ETA, 0.0, [(ROTATING, "z"), (ROTATING, "xy")]),
+    ),
+    "lab": (
+        lambda: build_lab(SPEC3, ETA, omega0=OMEGA0),
+        lambda: kron_hamiltonian(SPEC3, ETA, OMEGA0, [(SPEC3.scale, "xyz")]),
+    ),
+    "ladder-single": (lambda: ObservableSpec.single(1).ladder_matrix(3), lambda: kron_ladder([1], 3)),
+    "ladder-total": (lambda: ObservableSpec.total().ladder_matrix(3), lambda: kron_ladder([0, 1, 2], 3)),
+}
 
 
 class TestPauliAlgebra:
@@ -84,12 +139,39 @@ class TestEmbed:
                 want = np.kron(np.kron(left, op), right)
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+            # The shared operator table holds 0.5 * the same products.
+            for a, axis in enumerate("xyz"):
+                want = 0.5 * np.kron(np.kron(left, pauli(axis)), right)
+                assert spin_operators(n_spins)[site, a].tobytes() == want.tobytes()
 
     @given(site=st.integers(0, 2), axis=st.sampled_from("xyz"))
     @settings(max_examples=20, deadline=None)
     def test_embedding_preserves_hermiticity(self, site, axis):
         full = embed(pauli(axis), site, 3)
         assert np.allclose(full, full.conj().T)
+
+
+class TestSpinOperators:
+    @pytest.mark.parametrize("n_spins", [1, 2, 3, 4])
+    def test_table_is_shared_and_read_only(self, n_spins):
+        table = spin_operators(n_spins)
+        assert table.shape == (n_spins, 3, 2**n_spins, 2**n_spins) and table.dtype == complex
+        assert spin_operators(n_spins) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("n_spins", [0, MAX_SPINS + 1])
+    def test_register_size_out_of_range(self, n_spins):
+        with pytest.raises(ValueError, match="n_spins"):
+            spin_operators(n_spins)
+
+    @pytest.mark.parametrize("name", sorted(RUN_PATH_MATRICES))
+    def test_run_path_matrices_match_kron_reference_byte_for_byte(self, name):
+        built, reference = RUN_PATH_MATRICES[name]
+        got, want = built(), reference()
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPropagator:
