@@ -200,9 +200,7 @@ def perturbation_coeffs(spec: SpinSystemSpec) -> PerturbationCoeffs:
 
 
 def _perturbative_branches(spec: SpinSystemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Branch frequencies (rad/s) and weights of the three-line expansion."""
-    if spec.delta[0] != 0.0:
-        raise ValueError("the three-branch expansion assumes the first offset is zero")
+    """Branch frequencies (rad/s) and weights; the weights see only offset gaps, so a common shift moves every rate."""
     coeffs = perturbation_coeffs(spec)
     m = spec.magnification
     j01 = spec.j_coupling(0, 1)
@@ -225,14 +223,12 @@ def _perturbative_branches(spec: SpinSystemSpec) -> tuple[np.ndarray, np.ndarray
 def envelope_factor(spec: SpinSystemSpec, t: np.ndarray | float) -> np.ndarray:
     """Linearized modulus factor F(t) of the three-branch expansion.
 
-    F = 1 - l1 - l2 + l1 cos((d3 - d2) t) + l2 cos(d3 t), keeping only
-    terms linear in the mixing coefficients and dropping the coupling
+    F = 1 - l1 - l2 + l1 cos((d3 - d2) t) + l2 cos((d3 - d1) t), keeping
+    only terms linear in the mixing coefficients and dropping the coupling
     corrections inside the beat frequencies.
     """
     t = np.asarray(t, dtype=float)
     coeffs = perturbation_coeffs(spec)
-    if spec.delta[0] != 0.0:
-        raise ValueError("the three-branch expansion assumes the first offset is zero")
     gap_32 = spec.scale * (spec.delta[2] - spec.delta[1])
     gap_31 = spec.scale * (spec.delta[2] - spec.delta[0])
     return (

@@ -116,7 +116,7 @@ def _describe(trace) -> str:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _apply_overrides(parse_config_file(args.config), args)
-    result = run_experiment(config, workers=args.workers)
+    result = run_experiment(config)
     print(f"simulated: {_describe(result.trace)}")
     if config.output is not None:
         print(f"wrote {config.output}")
@@ -138,7 +138,7 @@ def _cmd_preset(args: argparse.Namespace) -> int:
         raise ConfigError("preset: a name is required unless --list is given")
     given = {key: getattr(args, key) for key in ("seed", "n_realizations", "output")}
     overrides = {key: value for key, value in given.items() if value is not None}
-    result = run_preset(args.name, workers=args.workers, **overrides)
+    result = run_preset(args.name, **overrides)
     if result.table is not None:
         _print_table(result.table)
     for path in result.paths:
@@ -163,7 +163,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         base = preset_config(args.preset)
     base = replace(_apply_overrides(base, args), output=None)
     values = _parse_values(args.values)
-    table = sweep_residuals(base, values, param=args.param, workers=args.workers)
+    table = sweep_residuals(base, values, param=args.param)
     out = args.output if args.output is not None else f"sweep_{args.param}.csv"
     write_csv(out, list(table), list(table.values()), metadata=table_metadata(base))
     _print_table(table)

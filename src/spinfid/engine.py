@@ -66,9 +66,9 @@ and the weighted sum over p run once on their total.  No step calls BLAS
 (bincount, elementwise products, sums along an axis and numpy's pocketfft
 have no BLAS call), whose threaded kernels split sums by the BLAS thread
 count.  So on one numpy build and SIMD dispatch level the results are
-bit-identical for any BLAS thread count and any ``workers`` value, which
-must be >= 1 but changes nothing.  Across SIMD levels numpy's exp and
-complex products take other vector paths, and the values agree to 1e-15.
+bit-identical for any BLAS thread count.  Across SIMD levels numpy's exp
+and complex products take other vector paths, and the values agree to
+1e-15.
 """
 
 from __future__ import annotations
@@ -245,10 +245,10 @@ class FidTrace:
         return self.mperp / abs(self.polarization)
 
 
-def _resolve_workers(workers: int | None) -> int:
-    """Validate a ``workers`` argument; chunks run in the calling thread, so the count used is 1."""
-    if workers is not None and workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
+def _resolve_workers(count: int | None) -> int:
+    """Validate a worker count for ``run_experiment``; chunks run in the calling thread, so the count used is 1."""
+    if count is not None and count < 1:
+        raise ValueError(f"worker count must be >= 1, got {count}")
     return 1
 
 
@@ -356,12 +356,10 @@ class PhaseSum:
         grid: TimeGrid,
         n_realizations: int = DEFAULT_N_REALIZATIONS,
         seed: int = DEFAULT_SEED,
-        workers: int | None = None,
     ) -> "PhaseSum":
-        """Sum the ensemble once, in the calling thread; ``workers`` must be >= 1 and changes nothing."""
+        """Sum the ensemble once, chunk by chunk in the calling thread."""
         if n_realizations < 1:
             raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-        _resolve_workers(workers)
         values = _phase_sum(noise, grid, n_realizations, seed)
         values.setflags(write=False)
         return cls(noise=noise, grid=grid, n_realizations=n_realizations, seed=seed, values=values)
@@ -419,7 +417,6 @@ def evolve_fid(
     n_realizations: int = DEFAULT_N_REALIZATIONS,
     seed: int = DEFAULT_SEED,
     hamiltonian: str = "effective",
-    workers: int | None = None,
     phase_sum: PhaseSum | None = None,
 ) -> FidTrace:
     """Ensemble-averaged FID of ``initial`` under the chosen Hamiltonian.
@@ -432,7 +429,6 @@ def evolve_fid(
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-    _resolve_workers(workers)
     if phase_sum is not None:
         phase_sum.require_ensemble(noise, grid, n_realizations, seed)
     h0, obs = _checked_parts(spec, initial, observable, hamiltonian)

@@ -34,7 +34,7 @@ from .analytic import (
 )
 from .config import RunConfig, config_hash, parse_config
 from .csvio import emit_trace_csv, write_csv
-from .engine import DEFAULT_SEED, FidTrace, PhaseSum, evolve_fid, residual_ratio
+from .engine import DEFAULT_SEED, FidTrace, PhaseSum, _resolve_workers, evolve_fid, residual_ratio
 from .noise import NOISE_KINDS
 from .operators import DensityMatrix
 from .states import STOCK_LABEL, apply_pulse, pps_state, thermal_state
@@ -136,7 +136,6 @@ def matching_oracles(config: RunConfig) -> dict[str, np.ndarray]:
         and spec.n_spins == 3
         and config.label == STOCK_LABEL
         and pulse.target == 2
-        and spec.delta[0] == 0.0
         and spec.delta[2] not in (spec.delta[0], spec.delta[1])
     ):
         return {"perturbative": fid_perturbative(spec, config.noise, t)[2]}
@@ -154,8 +153,10 @@ def run_experiment(
     ``oracles`` overrides the automatic closed-form columns; pass an
     empty mapping to suppress them entirely.  ``phase_sum`` is handed to
     ``evolve_fid``, which checks that it matches this configuration's
-    ensemble.
+    ensemble.  ``workers`` must be >= 1 and changes nothing.
     """
+    # Kept only for the benchmark harness, which passes workers= here; goes with ROADMAP item 1.
+    _resolve_workers(workers)
     initial = build_initial_state(config)
     trace = evolve_fid(
         config.system,
@@ -166,7 +167,6 @@ def run_experiment(
         n_realizations=config.n_realizations,
         seed=config.seed,
         hamiltonian=config.hamiltonian,
-        workers=workers,
         phase_sum=phase_sum,
     )
     if not (np.all(np.isfinite(trace.mx)) and np.all(np.isfinite(trace.my))):
@@ -220,7 +220,6 @@ def run_preset(
     seed: int = DEFAULT_SEED,
     n_realizations: int | None = None,
     output: str | None = None,
-    workers: int | None = None,
 ) -> PresetResult:
     """Run a named scenario end to end, writing its CSV file(s)."""
     stem = output if output is not None else f"{name}.csv"
@@ -241,7 +240,7 @@ def run_preset(
     if name == "fig4a":
         root = stem[: -len(".csv")] if stem.endswith(".csv") else stem
         paths: list[str] = []
-        shared = _ensemble_phase_sum(base, workers)
+        shared = _ensemble_phase_sum(base)
         for magnification in (1.0, 2.5, 5.0):
             path = f"{root}_{_magnification_tag(magnification)}.csv"
             config = replace(
@@ -249,12 +248,12 @@ def run_preset(
                 system=replace(base.system, magnification=magnification),
                 output=path,
             )
-            run_experiment(config, workers=workers, phase_sum=shared)
+            run_experiment(config, phase_sum=shared)
             paths.append(path)
         return PresetResult(name=name, paths=tuple(paths))
 
     if name == "fig4b":
-        table = sweep_residuals(base, np.arange(1.0, 6.0), param="m", workers=workers)
+        table = sweep_residuals(base, np.arange(1.0, 6.0), param="m")
         write_csv(stem, list(table), list(table.values()), metadata=table_metadata(base))
         return PresetResult(name=name, paths=(stem,), table=table)
 
@@ -266,16 +265,16 @@ def run_preset(
             kind: fid_single(replace(base.noise, kind=kind), base.system.polarization, t)[2]
             for kind in NOISE_KINDS
         }
-    run_experiment(base, workers=workers, oracles=envelopes)
+    run_experiment(base, oracles=envelopes)
     return PresetResult(name=name, paths=(stem,))
 
 
 SWEEP_PARAMS = ("m", "width")
 
 
-def _ensemble_phase_sum(config: RunConfig, workers: int | None) -> PhaseSum:
+def _ensemble_phase_sum(config: RunConfig) -> PhaseSum:
     """The phase sum every run on ``config``'s ensemble can share."""
-    return PhaseSum.compute(config.noise, config.grid, config.n_realizations, config.seed, workers)
+    return PhaseSum.compute(config.noise, config.grid, config.n_realizations, config.seed)
 
 
 def _with_param(base: RunConfig, param: str, value: float) -> RunConfig:
@@ -290,7 +289,6 @@ def sweep_residuals(
     base: RunConfig,
     values: np.ndarray,
     param: str = "m",
-    workers: int | None = None,
 ) -> dict[str, np.ndarray]:
     """Residual-vs-parameter table against the parameter-off baseline.
 
@@ -308,15 +306,15 @@ def sweep_residuals(
         raise ValueError("need a non-empty 1-d list of sweep values")
     if np.any(values < 0.0):
         raise ValueError(f"swept {param!r} values must be non-negative")
-    shared = _ensemble_phase_sum(base, workers) if param == "m" else None
-    baseline = run_experiment(_with_param(base, param, 0.0), workers=workers, oracles={}, phase_sum=shared).trace
+    shared = _ensemble_phase_sum(base) if param == "m" else None
+    baseline = run_experiment(_with_param(base, param, 0.0), oracles={}, phase_sum=shared).trace
     analytic = param == "m" and "perturbative" in matching_oracles(base)
     t = base.grid.points
     r_numeric = np.empty_like(values)
     r_analytic = np.full_like(values, np.nan)
     for k, value in enumerate(values):
         config = _with_param(base, param, float(value))
-        trace = run_experiment(config, workers=workers, oracles={}, phase_sum=shared).trace
+        trace = run_experiment(config, oracles={}, phase_sum=shared).trace
         r_numeric[k] = residual_ratio(trace, baseline)
         if analytic:
             r_analytic[k] = residual_ratio_analytic(config.system, config.noise, t)

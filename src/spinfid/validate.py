@@ -4,9 +4,10 @@ Every check is deterministic (fixed seeds), takes well under a second,
 and exercises a cross-cutting invariant rather than a stored expected
 value: operator algebra, propagator unitarity, Hamiltonian structure,
 state spectra, noise-sampler determinism and statistics, agreement of
-the exchange-coupled engine with per-draw propagation, worker-count
-determinism, coupling invariance of the pseudo-pure modulus, and
-config/CSV round-trips.
+the exchange-coupled engine with per-draw propagation, bit identity of
+an exchange-coupled trace made with a precomputed (shared) phase sum,
+coupling invariance of the pseudo-pure modulus, and config/CSV
+round-trips.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .analytic import fid_pps_single, fid_thermal_single
 from .config import parse_config, serialize_config
 from .csvio import emit_trace_csv, load_csv
-from .engine import ObservableSpec, TimeGrid, _chunk_bounds, evolve_fid
+from .engine import ObservableSpec, PhaseSum, TimeGrid, _chunk_bounds, evolve_fid
 from .experiments import PRESET_NAMES, preset_config, run_experiment
 from .hamiltonians import (
     SpinSystemSpec,
@@ -217,20 +218,22 @@ def _check_path_agreement() -> str:
     return f"exchange-coupled trace vs per-draw expm propagation within {worst:.2g} at m=5"
 
 
-def _check_worker_determinism() -> str:
-    spec = SpinSystemSpec(polarization=1.0)
+def _check_shared_phase_sum() -> str:
+    # The path of the fig4a and fig4b presets: one phase sum shared by exchange-coupled runs.
+    spec = SpinSystemSpec(polarization=1.0, magnification=5.0)
     grid = TimeGrid()
     noise = NoiseModel()
     initial = apply_pulse(pps_state(spec), PulseSpec(target=2))
-    kwargs = dict(n_realizations=10_000, seed=5)
-    chunks = len(_chunk_bounds(kwargs["n_realizations"]))
+    n_draws, seed = 10_000, 5
+    chunks = len(_chunk_bounds(n_draws))
     if chunks < 3:
         raise AssertionError(f"{chunks} chunks; at least 3 are needed to exercise the chunked reduction")
-    serial = evolve_fid(spec, initial, noise, grid, workers=1, **kwargs)
-    threaded = evolve_fid(spec, initial, noise, grid, workers=3, **kwargs)
-    if not (np.array_equal(serial.mx, threaded.mx) and np.array_equal(serial.my, threaded.my)):
-        raise AssertionError("the workers argument changed the trace; it must change nothing")
-    return f"bit-identical traces for 1 and 3 workers over {chunks} chunks"
+    kwargs = dict(observable=ObservableSpec.total(), n_realizations=n_draws, seed=seed, hamiltonian="heisenberg")
+    own = evolve_fid(spec, initial, noise, grid, **kwargs)
+    shared = evolve_fid(spec, initial, noise, grid, phase_sum=PhaseSum.compute(noise, grid, n_draws, seed), **kwargs)
+    if own.mx.tobytes() != shared.mx.tobytes() or own.my.tobytes() != shared.my.tobytes():
+        raise AssertionError("a precomputed phase sum changed the trace")
+    return f"heisenberg trace at m=5 with a precomputed phase sum is bit-identical over {chunks} chunks"
 
 
 def _check_coupling_invariance() -> str:
@@ -285,7 +288,7 @@ _CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     ("noise-statistics", _check_noise_statistics),
     ("engine-closed-form", _check_engine_closed_form),
     ("evolution-path-agreement", _check_path_agreement),
-    ("worker-determinism", _check_worker_determinism),
+    ("shared-phase-sum", _check_shared_phase_sum),
     ("coupling-invariance", _check_coupling_invariance),
     ("config-roundtrip", _check_config_roundtrip),
     ("csv-roundtrip", _check_csv_roundtrip),

@@ -9,16 +9,21 @@ from hypothesis import strategies as st
 
 from spinfid import (
     NoiseModel,
+    ObservableSpec,
+    PulseSpec,
     SpinSystemSpec,
     TimeGrid,
+    apply_pulse,
     envelope_factor,
     fid_perturbative,
     fid_pps,
     fid_single,
     fid_thermal,
     perturbation_coeffs,
+    pps_state,
     residual_ratio_analytic,
     trapezoid_weights,
+    zero_noise_signal,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -203,10 +208,32 @@ class TestFidPerturbative:
         _, _, mp = fid_perturbative(spec, NoiseModel("lorentzian", 28.0), np.array([0.0]))
         assert mp[0] == pytest.approx(0.5, abs=1e-12)
 
-    def test_requires_zero_offset_on_first_site(self):
-        bad = SpinSystemSpec(polarization=1.0, delta=(5.0, -1393.0, 1027.0))
-        with pytest.raises(ValueError):
-            fid_perturbative(bad, NoiseModel("white", 0.0), GRID)
+    @pytest.mark.parametrize("shift", [250.0, -700.0])
+    @pytest.mark.parametrize("m, error", [(1.0, 0.00236), (2.5, 0.01569)])
+    def test_common_offset_shift_is_a_global_phase(self, shift, m, error):
+        # Shifting every offset by c adds c * sum I_z, which commutes with H and
+        # turns the single-quantum readout by exp(i 2 pi c t): the weights and
+        # the linearized envelope see only offset gaps, and the modulus, with
+        # its error against the exact limit D(t) avg_cos(t), does not move.
+        model = NoiseModel("lorentzian", 28.0)
+        spec = SpinSystemSpec(polarization=1.0, magnification=m)
+        shifted = SpinSystemSpec(polarization=1.0, magnification=m, delta=tuple(d + shift for d in spec.delta))
+
+        def signal(spec):
+            mx, my, _ = fid_perturbative(spec, model, GRID)
+            return mx + 1j * my
+
+        def error_against_exact_limit(spec):
+            initial = apply_pulse(pps_state(spec), PulseSpec(target=2))
+            exact = zero_noise_signal(spec, initial, TimeGrid(), observable=ObservableSpec.total(), hamiltonian="heisenberg")
+            return float(np.max(np.abs(np.abs(signal(spec)) - np.abs(exact * model.avg_cos(GRID)))))
+
+        turned = signal(spec) * np.exp(1j * TWO_PI * shift * GRID)
+        assert np.max(np.abs(signal(shifted) - turned)) <= 1e-14
+        assert envelope_factor(shifted, GRID).tobytes() == envelope_factor(spec, GRID).tobytes()
+        shifted_error = error_against_exact_limit(shifted)
+        assert shifted_error == pytest.approx(error_against_exact_limit(spec), abs=1e-14)
+        assert shifted_error == pytest.approx(error, rel=0.01)
 
     def test_branch_modulus_approaches_envelope_product_quadratically(self):
         # the coherent three-branch modulus and the two-cosine envelope form

@@ -232,6 +232,19 @@ class TestSimulate:
         assert data.oracles == {}
         assert np.all(np.isfinite(data.trace().mperp))
 
+    def test_shifted_offsets_keep_the_first_order_oracle(self, tmp_path):
+        # A common offset shift only turns the readout's phase, so the
+        # first-order modulus column is offered and keeps its values.
+        columns = []
+        for name, delta in (("stock", "0, -1393, 1027"), ("shifted", "250, -1143, 1277")):
+            ini = tmp_path / f"{name}.ini"
+            ini.write_text(exchange_total_ini(delta))
+            out = tmp_path / f"{name}.csv"
+            result = run_cli("simulate", str(ini), "--output", str(out), cwd=tmp_path)
+            assert result.returncode == 0, result.stderr
+            columns.append(load_csv(str(out)).oracles["perturbative"])
+        assert np.max(np.abs(columns[1] - columns[0])) <= 1e-14
+
     def test_empty_output_value_exits_2(self, tmp_path):
         ini = tmp_path / "small.ini"
         ini.write_text(SMALL_INI + "[run]\noutput =\n")

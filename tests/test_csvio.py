@@ -139,7 +139,7 @@ class TestWriterBytes:
 
     def test_preset_file(self, tmp_path):
         path = tmp_path / "fig2-pps.csv"
-        run_preset("fig2-pps", n_realizations=500, seed=7, output=str(path), workers=1)
+        run_preset("fig2-pps", n_realizations=500, seed=7, output=str(path))
         table = load_csv(str(path))
         expected = cell_by_cell_bytes(list(table.columns), list(table.columns.values()), table.metadata)
         assert path.read_bytes() == expected

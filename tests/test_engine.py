@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import subprocess
 import sys
@@ -10,8 +11,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import subprocess_env
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import spinfid.engine
 import spinfid.operators
@@ -49,6 +48,15 @@ except ImportError:  # numpy < 2
     from numpy.core import _multiarray_umath as numpy_umath
 
 TWO_PI = 2.0 * np.pi
+
+
+# (offsets in Hz, couplings in Hz, pseudo-pure label) of a register of each size.
+REGISTERS = {
+    1: ((310.0,), (), "1"),
+    2: ((-1393.0, 1027.0), (69.0,), "01"),
+    3: ((0.0, -1393.0, 1027.0), (-130.0, 69.0, 50.0), "101"),
+    4: ((0.0, -1393.0, 1027.0, 455.0), (-130.0, 69.0, 50.0, 38.0, -24.0, 61.0), "1010"),
+}
 
 
 def pulsed_thermal(spec: SpinSystemSpec) -> DensityMatrix:
@@ -206,24 +214,27 @@ class TestPerDrawExactness:
         assert np.max(np.abs(trace.mx - mx)) < 1e-12
         assert np.max(np.abs(trace.my - my)) < 1e-12
 
-    @pytest.mark.parametrize(
-        "pulse",
-        [PulseSpec(target=2), PulseSpec(target=2, axis="x", angle=0.7)],
-        ids=["y-pi/2", "x-0.7"],
-    )
-    def test_noisy_heisenberg_matches_per_draw_step_propagation(self, pulse):
+    @pytest.mark.parametrize("readout", ["single", "total"])
+    @pytest.mark.parametrize("state", ["thermal", "pps"])
+    @pytest.mark.parametrize("n_spins", sorted(REGISTERS))
+    @pytest.mark.parametrize("axis, angle", [("y", np.pi / 2), ("x", 0.7)], ids=["y-pi/2", "x-0.7"])
+    def test_noisy_heisenberg_matches_per_draw_step_propagation(self, axis, angle, n_spins, state, readout):
         # brute-force oracle for the D(t) chi(t) factorisation: every draw
         # evolves under its own H(eta_r) by step propagators, then average
-        spec = SpinSystemSpec(polarization=-1.0, magnification=5.0)
+        delta, j, label = REGISTERS[n_spins]
+        polarization = -1.0 if state == "thermal" else 1.0
+        spec = SpinSystemSpec(n_spins, delta, j, polarization=polarization, magnification=5.0)
         grid = TimeGrid(t_max=0.006, n_points=61)
         model = NoiseModel("lorentzian", 28.0)
-        initial = apply_pulse(thermal_state(spec), pulse)
+        base = thermal_state(spec) if state == "thermal" else pps_state(spec, label)
+        initial = apply_pulse(base, PulseSpec(target=n_spins - 1, axis=axis, angle=angle))
+        observable = ObservableSpec.total() if readout == "total" else ObservableSpec.single(n_spins - 1)
         n, seed = 3, 19
         trace = evolve_fid(
-            spec, initial, model, grid, n_realizations=n, seed=seed,
+            spec, initial, model, grid, observable=observable, n_realizations=n, seed=seed,
             hamiltonian="heisenberg",
         )
-        ladder = ObservableSpec.single(2).ladder_matrix(3)
+        ladder = observable.ladder_matrix(n_spins)
         want = np.zeros(grid.n_points, dtype=complex)
         for eta in model.sample_block(seed, 0, n):
             assert eta != 0.0
@@ -285,34 +296,6 @@ class TestConservation:
 
 
 class TestDeterminism:
-    def test_worker_count_invariance(self, pps_system, default_grid):
-        model = NoiseModel("lorentzian", 28.0)
-        n = 2 * spinfid.engine._CHUNK_DRAWS + 500
-        assert len(spinfid.engine._chunk_bounds(n)) >= 3
-        runs = [
-            evolve_fid(
-                pps_system, pulsed_pps(pps_system), model, default_grid,
-                n_realizations=n, seed=11, workers=w,
-            )
-            for w in (1, 2, 3)
-        ]
-        for other in runs[1:]:
-            assert np.array_equal(runs[0].mx, other.mx)
-            assert np.array_equal(runs[0].my, other.my)
-
-    def test_heisenberg_worker_count_invariance_across_chunks(self):
-        spec = SpinSystemSpec(polarization=-1.0, magnification=5.0)
-        grid = TimeGrid(t_max=0.024, n_points=2001)
-        n = 10_000
-        assert len(spinfid.engine._chunk_bounds(n)) >= 3
-        runs = [
-            evolve_fid(spec, pulsed_thermal(spec), NoiseModel("lorentzian", 28.0), grid,
-                       n_realizations=n, seed=13, hamiltonian="heisenberg", workers=w)
-            for w in (1, 3)
-        ]
-        assert np.array_equal(runs[0].mx, runs[1].mx)
-        assert np.array_equal(runs[0].my, runs[1].my)
-
     def test_same_seed_same_trace(self, pps_system, default_grid):
         model = NoiseModel("gaussian", 28.0)
         a = evolve_fid(pps_system, pulsed_pps(pps_system), model, default_grid,
@@ -329,27 +312,31 @@ class TestDeterminism:
                        n_realizations=64, seed=22)
         assert not np.array_equal(a.mx, b.mx)
 
-    def test_zero_workers_rejected(self, pps_system, default_grid):
+    def test_zero_workers_rejected(self):
         with pytest.raises(ValueError, match="worker count"):
-            evolve_fid(pps_system, pulsed_pps(pps_system), NoiseModel("lorentzian", 28.0), default_grid,
-                       n_realizations=8, seed=1, workers=0)
+            run_experiment(preset_config("fig2-pps", n_realizations=8), workers=0)
 
-    @given(
-        workers=st.integers(1, 4),
-        n=st.integers(2 * spinfid.engine._CHUNK_DRAWS + 1, 4 * spinfid.engine._CHUNK_DRAWS),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_worker_invariance_random_sizes(self, workers, n):
-        assert len(spinfid.engine._chunk_bounds(n)) >= 3
-        spec = SpinSystemSpec(polarization=1.0)
-        grid = TimeGrid(t_max=0.004, n_points=17)
-        model = NoiseModel("lorentzian", 28.0)
-        base = evolve_fid(spec, pulsed_pps(spec), model, grid,
-                          n_realizations=n, seed=3, workers=1)
-        other = evolve_fid(spec, pulsed_pps(spec), model, grid,
-                           n_realizations=n, seed=3, workers=workers)
-        assert np.array_equal(base.mx, other.mx)
-        assert np.array_equal(base.my, other.my)
+    def test_only_run_experiment_takes_a_worker_count(self):
+        # Chunks run in the calling thread; run_experiment keeps the argument for the benchmark harness.
+        def functions(module):
+            for obj in vars(module).values():
+                if getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                if inspect.isfunction(obj):
+                    yield obj.__qualname__, obj
+                elif inspect.isclass(obj):
+                    for member in vars(obj).values():
+                        member = getattr(member, "__func__", member)
+                        if inspect.isfunction(member):
+                            yield member.__qualname__, member
+
+        taking = {
+            name
+            for module in (spinfid.engine, spinfid.experiments)
+            for name, function in functions(module)
+            if "workers" in inspect.signature(function).parameters
+        }
+        assert taking == {"run_experiment"}
 
 
 class FixedDraws:
@@ -451,12 +438,11 @@ class TestPhaseSum:
         bounds = spinfid.engine._chunk_bounds(n)
         assert len(bounds) == 3 and bounds[-1] == (n - 123, n)
         noise = NoiseModel("gaussian", 28.0)
-        serial = PhaseSum.compute(noise, grid, n, 4, workers=1).values / n
-        assert np.array_equal(serial, PhaseSum.compute(noise, grid, n, 4, workers=3).values / n)
+        chunked = PhaseSum.compute(noise, grid, n, 4).values / n
         # The direct sum in slices of about 1000 draws keeps its table of exponentials small.
         slices = np.array_split(noise.sample_block(4, 0, n), 9)
         reference = sum(direct_mean(etas, grid) * etas.size for etas in slices) / n
-        assert np.max(np.abs(serial - reference)) <= 1e-12
+        assert np.max(np.abs(chunked - reference)) <= 1e-12
 
 
 class TestZeroNoiseSignal:
@@ -502,7 +488,7 @@ class TestSharedPhaseSum:
                           hamiltonian="heisenberg", **{"n_realizations": 300, "seed": 5, **kwargs})
 
     def test_shared_sum_gives_identical_bytes(self):
-        shared = PhaseSum.compute(self.NOISE, self.GRID, 300, 5, workers=1)
+        shared = PhaseSum.compute(self.NOISE, self.GRID, 300, 5)
         for m in (0.0, 1.0, 5.0):
             spec = SpinSystemSpec(polarization=1.0, magnification=m)
             own, reused = self.run(spec), self.run(spec, phase_sum=shared)
@@ -520,7 +506,7 @@ class TestSharedPhaseSum:
     )
     def test_sum_from_another_ensemble_is_refused(self, field, value):
         ensemble = {"noise": self.NOISE, "grid": self.GRID, "n_realizations": 300, "seed": 5}
-        shared = PhaseSum.compute(**{**ensemble, field: value}, workers=1)
+        shared = PhaseSum.compute(**{**ensemble, field: value})
         spec = SpinSystemSpec(polarization=1.0)
         with pytest.raises(ValueError, match=f"shared phase sum was made with {field}"):
             self.run(spec, phase_sum=shared)
@@ -540,23 +526,23 @@ class TestSharedPhaseSum:
     @pytest.mark.parametrize("name", ["fig4a", "fig4b"])
     def test_exchange_presets_sum_once(self, monkeypatch, tmp_path, name):
         calls = self.count_phase_sums(monkeypatch)
-        run_preset(name, n_realizations=400, output=str(tmp_path / f"{name}.csv"), workers=1)
+        run_preset(name, n_realizations=400, output=str(tmp_path / f"{name}.csv"))
         assert len(calls) == 1
 
     def test_width_sweep_sums_every_run(self, monkeypatch):
         # A width sweep rescales every draw, so no run may reuse another's sum.
         calls = self.count_phase_sums(monkeypatch)
         base = preset_config("fig2-pps", n_realizations=200)
-        sweep_residuals(base, np.array([10.0, 28.0]), param="width", workers=1)
+        sweep_residuals(base, np.array([10.0, 28.0]), param="width")
         assert len(calls) == 3
 
     def test_fig4b_table_matches_unshared_runs(self, tmp_path):
         base = preset_config("fig4b", n_realizations=400)
-        table = run_preset("fig4b", n_realizations=400, output=str(tmp_path / "fig4b.csv"), workers=1).table
+        table = run_preset("fig4b", n_realizations=400, output=str(tmp_path / "fig4b.csv")).table
 
         def trace(m):
             config = replace(base, system=replace(base.system, magnification=m), output=None)
-            return run_experiment(config, workers=1, oracles={}).trace
+            return run_experiment(config, oracles={}).trace
 
         baseline = trace(0.0)
         expected = np.array([residual_ratio(trace(m), baseline) for m in table["m"]])
@@ -568,7 +554,7 @@ class TestOperatorReuse:
         # After a first run on a 3-spin register, only apply_pulse's rotation is embedded.
         config = preset_config("fig4b", n_realizations=200)
         assert config.hamiltonian == "heisenberg" and config.system.n_spins == 3
-        run_experiment(config, workers=1)
+        run_experiment(config)
         original = spinfid.operators.embed
         calls = []
 
@@ -579,7 +565,7 @@ class TestOperatorReuse:
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "spinfid" and getattr(module, "embed", None) is original:
                 monkeypatch.setattr(module, "embed", counted)
-        run_experiment(config, workers=1)
+        run_experiment(config)
         assert len(calls) <= 1
 
 
