@@ -25,14 +25,12 @@ raises ValueError instead of returning a wrong answer.
 
 Shared phase sum: R chi depends only on the noise model, the grid, the
 realization count and the seed, not on the spins, the state, the pulse,
-the readout or the Hamiltonian.  A caller that runs several systems on
-one ensemble (a magnification sweep) computes it once with
-``PhaseSum.compute`` and passes it to each ``evolve_fid`` call.  The
-value carries the (noise, grid, n_realizations, seed) it was summed
-over, and evolve_fid raises ValueError unless they equal its own
-arguments, so a shared sum can never stand in for a different ensemble.
-The product D(t) chi(t) / R is formed in the same order either way, so
-sharing changes no output bit.
+the readout or the Hamiltonian.  evolve_fid takes it from a one-entry
+cache keyed on exactly those four inputs, so consecutive runs on one
+ensemble (a magnification sweep, the fig4a traces) sum it once, and a run
+on any other ensemble sums afresh.  The cached array is read-only, and
+the product D(t) chi(t) / R is formed in the same order on a hit as on a
+miss, so the cache changes no output bit.
 
 Phase sum: the grid is uniform, t_k = k dt, so the sum
 R chi(t_k) = sum_r exp(i k x_r) with x_r = eta_r dt mod 2 pi is a type-1
@@ -89,7 +87,6 @@ __all__ = [
     "TimeGrid",
     "ObservableSpec",
     "FidTrace",
-    "PhaseSum",
     "zero_noise_signal",
     "evolve_fid",
     "residual_ratio",
@@ -113,9 +110,12 @@ _TAYLOR_TERMS = 20
 # cells than _MAX_WORK_CELLS (R * _TAYLOR_TERMS + chunks * _TAYLOR_TERMS * M),
 # or whose (_TAYLOR_TERMS, M) histogram would hold more than
 # _MAX_HISTOGRAM_CELLS.  The work bound caps time but not memory: one draw on
-# a huge grid does little work yet needs the whole histogram and its rfft,
-# about 8 bytes a cell each.  M <= 2^20 (grids up to 524 288 points, 128 times
-# the largest preset grid) keeps the two under 340 MB together.
+# a huge grid does little work yet needs the whole histogram (8 bytes a cell),
+# its rfft (16 bytes per mode, M / 2 + 1 modes a row) and the complex
+# (_TAYLOR_TERMS, n) table of _taylor_weights.  M <= 2^20 (grids up to 524 288
+# points, 128 times the largest preset grid) gives about 168 MB for each of the
+# three, so just over 500 MB for one call, and _taylor_weights keeps up to four
+# tables between calls, up to 671 MB at this bound.
 _MAX_WORK_CELLS = 20_000_000_000
 _MAX_HISTOGRAM_CELLS = _TAYLOR_TERMS << 20
 
@@ -303,8 +303,12 @@ def _taylor_weights(n_points: int) -> np.ndarray:
     return weights
 
 
+@functools.lru_cache(maxsize=1)
 def _phase_sum(noise: NoiseModel, grid: TimeGrid, n_realizations: int, seed: int) -> np.ndarray:
-    """R chi(t_k) = sum_r exp(i eta_r t_k) on the grid, by a type-1 NUFFT (see the module docstring)."""
+    """Read-only R chi(t_k) = sum_r exp(i eta_r t_k) on the grid, by a type-1 NUFFT (see the module docstring).
+
+    The last ensemble's sum is cached, so consecutive runs on one ensemble share it.
+    """
     n = grid.n_points
     m = _bin_count(n)
     terms = _TAYLOR_TERMS
@@ -332,47 +336,9 @@ def _phase_sum(noise: NoiseModel, grid: TimeGrid, n_realizations: int, seed: int
     # conjugate of R chi(t_k) (see _taylor_weights).
     modes = np.fft.rfft(hist, axis=1)[:, :n]
     modes *= _taylor_weights(n)
-    return modes.sum(axis=0).conj()
-
-
-@dataclass(frozen=True)
-class PhaseSum:
-    """R chi(t_k) = sum_r exp(i eta_r t_k) on ``grid``, with the ensemble it sums over.
-
-    Build it with :meth:`compute`; ``evolve_fid`` accepts it in place of
-    its own phase sum only for the same noise, grid, count and seed.
-    """
-
-    noise: NoiseModel
-    grid: TimeGrid
-    n_realizations: int
-    seed: int
-    values: np.ndarray
-
-    @classmethod
-    def compute(
-        cls,
-        noise: NoiseModel,
-        grid: TimeGrid,
-        n_realizations: int = DEFAULT_N_REALIZATIONS,
-        seed: int = DEFAULT_SEED,
-    ) -> "PhaseSum":
-        """Sum the ensemble once, chunk by chunk in the calling thread."""
-        if n_realizations < 1:
-            raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-        values = _phase_sum(noise, grid, n_realizations, seed)
-        values.setflags(write=False)
-        return cls(noise=noise, grid=grid, n_realizations=n_realizations, seed=seed, values=values)
-
-    def require_ensemble(self, noise: NoiseModel, grid: TimeGrid, n_realizations: int, seed: int) -> None:
-        """Raise ValueError unless this sum was made from exactly this ensemble."""
-        wanted = {"noise": noise, "grid": grid, "n_realizations": n_realizations, "seed": seed}
-        for name, value in wanted.items():
-            if getattr(self, name) != value:
-                raise ValueError(
-                    f"shared phase sum was made with {name} = {getattr(self, name)!r}, "
-                    f"but this run has {name} = {value!r}"
-                )
+    chi = modes.sum(axis=0).conj()
+    chi.setflags(write=False)
+    return chi
 
 
 def _checked_parts(
@@ -417,24 +383,21 @@ def evolve_fid(
     n_realizations: int = DEFAULT_N_REALIZATIONS,
     seed: int = DEFAULT_SEED,
     hamiltonian: str = "effective",
-    phase_sum: PhaseSum | None = None,
 ) -> FidTrace:
     """Ensemble-averaged FID of ``initial`` under the chosen Hamiltonian.
 
     Raises ValueError if the Hamiltonian does not conserve total I_z or
     the observable is not single-quantum, since the D(t) chi(t)
-    factorisation would then give a wrong answer.  ``phase_sum`` is an
-    optional precomputed sum for this exact (noise, grid, n_realizations,
-    seed); any mismatch is a ValueError.
+    factorisation would then give a wrong answer.  A call on the same
+    (noise, grid, n_realizations, seed) as the call before reuses that
+    call's phase sum, with the same result bytes.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-    if phase_sum is not None:
-        phase_sum.require_ensemble(noise, grid, n_realizations, seed)
     h0, obs = _checked_parts(spec, initial, observable, hamiltonian)
-    if phase_sum is None:
-        phase_sum = PhaseSum.compute(noise, grid, n_realizations, seed)
-    signal = _zero_noise_signal(h0, initial.matrix, obs, grid.points) * phase_sum.values
+    # Summed first: its work limit refuses an oversized grid before D(t) is built on it.
+    chi = _phase_sum(noise, grid, n_realizations, seed)
+    signal = _zero_noise_signal(h0, initial.matrix, obs, grid.points) * chi
     signal /= n_realizations
 
     return FidTrace.from_components(

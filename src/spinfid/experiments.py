@@ -34,7 +34,7 @@ from .analytic import (
 )
 from .config import RunConfig, config_hash, parse_config
 from .csvio import emit_trace_csv, write_csv
-from .engine import DEFAULT_SEED, FidTrace, PhaseSum, _resolve_workers, evolve_fid, residual_ratio
+from .engine import DEFAULT_SEED, FidTrace, _resolve_workers, evolve_fid, residual_ratio
 from .noise import NOISE_KINDS
 from .operators import DensityMatrix
 from .states import STOCK_LABEL, apply_pulse, pps_state, thermal_state
@@ -142,22 +142,8 @@ def matching_oracles(config: RunConfig) -> dict[str, np.ndarray]:
     return {}
 
 
-def run_experiment(
-    config: RunConfig,
-    workers: int | None = None,
-    oracles: Mapping[str, np.ndarray] | None = None,
-    phase_sum: PhaseSum | None = None,
-) -> ExperimentResult:
-    """Simulate one configuration and optionally write its CSV.
-
-    ``oracles`` overrides the automatic closed-form columns; pass an
-    empty mapping to suppress them entirely.  ``phase_sum`` is handed to
-    ``evolve_fid``, which checks that it matches this configuration's
-    ensemble.  ``workers`` must be >= 1 and changes nothing.
-    """
-    # Kept only for the benchmark harness, which passes workers= here; goes with ROADMAP item 1.
-    _resolve_workers(workers)
-    initial = build_initial_state(config)
+def _simulate(config: RunConfig, initial: DensityMatrix) -> FidTrace:
+    """The configured ensemble average from ``initial``; non-finite values are a NumericInvariantError."""
     trace = evolve_fid(
         config.system,
         initial,
@@ -167,10 +153,26 @@ def run_experiment(
         n_realizations=config.n_realizations,
         seed=config.seed,
         hamiltonian=config.hamiltonian,
-        phase_sum=phase_sum,
     )
     if not (np.all(np.isfinite(trace.mx)) and np.all(np.isfinite(trace.my))):
         raise NumericInvariantError("simulated trace contains non-finite values")
+    return trace
+
+
+def run_experiment(
+    config: RunConfig,
+    workers: int | None = None,
+    oracles: Mapping[str, np.ndarray] | None = None,
+) -> ExperimentResult:
+    """Simulate one configuration and optionally write its CSV.
+
+    ``oracles`` overrides the automatic closed-form columns; pass an
+    empty mapping to suppress them entirely.  ``workers`` must be >= 1
+    and changes nothing.
+    """
+    # Kept only for the benchmark harness, which passes workers= here; goes with ROADMAP item 1.
+    _resolve_workers(workers)
+    trace = _simulate(config, build_initial_state(config))
     resolved = dict(oracles) if oracles is not None else matching_oracles(config)
     if config.output is not None:
         emit_trace_csv(
@@ -240,7 +242,6 @@ def run_preset(
     if name == "fig4a":
         root = stem[: -len(".csv")] if stem.endswith(".csv") else stem
         paths: list[str] = []
-        shared = _ensemble_phase_sum(base)
         for magnification in (1.0, 2.5, 5.0):
             path = f"{root}_{_magnification_tag(magnification)}.csv"
             config = replace(
@@ -248,7 +249,7 @@ def run_preset(
                 system=replace(base.system, magnification=magnification),
                 output=path,
             )
-            run_experiment(config, phase_sum=shared)
+            run_experiment(config)
             paths.append(path)
         return PresetResult(name=name, paths=tuple(paths))
 
@@ -272,11 +273,6 @@ def run_preset(
 SWEEP_PARAMS = ("m", "width")
 
 
-def _ensemble_phase_sum(config: RunConfig) -> PhaseSum:
-    """The phase sum every run on ``config``'s ensemble can share."""
-    return PhaseSum.compute(config.noise, config.grid, config.n_realizations, config.seed)
-
-
 def _with_param(base: RunConfig, param: str, value: float) -> RunConfig:
     if param == "m":
         return replace(base, system=replace(base.system, magnification=value), output=None)
@@ -295,9 +291,10 @@ def sweep_residuals(
     Runs the base configuration once with the swept parameter set to zero
     (couplings off for ``m``, noise off for ``width``) at the same seed,
     then at each requested value, and reports the integrated relative
-    deviation of the modulus from that baseline.  A magnification sweep
-    keeps the ensemble fixed, so its runs share one phase sum; a width
-    sweep rescales every draw and sums each run afresh.  The analytic column
+    deviation of the modulus from that baseline.  Every run starts from
+    ``base``'s initial state.  A magnification sweep keeps the ensemble
+    fixed, so its runs share one cached phase sum; a width sweep rescales
+    every draw and sums each run afresh.  The analytic column
     uses the first-order envelope of the magnification sweep and is NaN
     unless ``matching_oracles`` offers the perturbative model for ``base``.
     """
@@ -306,15 +303,15 @@ def sweep_residuals(
         raise ValueError("need a non-empty 1-d list of sweep values")
     if np.any(values < 0.0):
         raise ValueError(f"swept {param!r} values must be non-negative")
-    shared = _ensemble_phase_sum(base) if param == "m" else None
-    baseline = run_experiment(_with_param(base, param, 0.0), oracles={}, phase_sum=shared).trace
+    initial = build_initial_state(base)
+    baseline = _simulate(_with_param(base, param, 0.0), initial)
     analytic = param == "m" and "perturbative" in matching_oracles(base)
     t = base.grid.points
     r_numeric = np.empty_like(values)
     r_analytic = np.full_like(values, np.nan)
     for k, value in enumerate(values):
         config = _with_param(base, param, float(value))
-        trace = run_experiment(config, oracles={}, phase_sum=shared).trace
+        trace = _simulate(config, initial)
         r_numeric[k] = residual_ratio(trace, baseline)
         if analytic:
             r_analytic[k] = residual_ratio_analytic(config.system, config.noise, t)

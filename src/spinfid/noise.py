@@ -45,7 +45,8 @@ NOISE_KINDS = ("white", "gaussian", "lorentzian")
 # Draws per Philox counter block; realization i consumes block i.
 _BLOCK = 4
 
-# Generator.random() returns multiples of 2**-53 in [0, 1 - 2**-53].
+# A uniform draw is the top 53 bits of a Philox word times 2**-53, as
+# Generator.random() forms it: a multiple of 2**-53 in [0, 1 - 2**-53].
 # Adding 2**-54 lifts 0 off the boundary, but from 1/2 up every sum is a
 # tie that rounds to even, and the top draw rounds to exactly 1.0, where
 # the Gaussian quantile is inf.  Clamping at _TOP changes that draw alone,
@@ -163,8 +164,9 @@ class NoiseModel:
         bitgen = np.random.Philox(key=seed)
         if start:
             bitgen.advance(start)
-        raw = np.random.Generator(bitgen).random(_BLOCK * count)
-        return self._quantile(raw[::_BLOCK])
+        # Only each block's first word is converted; Generator.random() would convert all four.
+        words = bitgen.random_raw(_BLOCK * count)[::_BLOCK]
+        return self._quantile((words >> np.uint64(11)) * 2.0**-53)
 
     def _quantile(self, raw: np.ndarray) -> np.ndarray:
         """Offsets eta_z (rad/s) for uniform draws ``raw`` in [0, 1)."""

@@ -5,9 +5,8 @@ and exercises a cross-cutting invariant rather than a stored expected
 value: operator algebra, propagator unitarity, Hamiltonian structure,
 state spectra, noise-sampler determinism and statistics, agreement of
 the exchange-coupled engine with per-draw propagation, bit identity of
-an exchange-coupled trace made with a precomputed (shared) phase sum,
-coupling invariance of the pseudo-pure modulus, and config/CSV
-round-trips.
+an exchange-coupled trace rerun on its cached phase sum, coupling
+invariance of the pseudo-pure modulus, and config/CSV round-trips.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from .analytic import fid_pps_single, fid_thermal_single
 from .config import parse_config, serialize_config
 from .csvio import emit_trace_csv, load_csv
-from .engine import ObservableSpec, PhaseSum, TimeGrid, _chunk_bounds, evolve_fid
+from .engine import ObservableSpec, TimeGrid, _chunk_bounds, _phase_sum, evolve_fid
 from .experiments import PRESET_NAMES, preset_config, run_experiment
 from .hamiltonians import (
     SpinSystemSpec,
@@ -142,14 +141,15 @@ def _check_noise_determinism() -> str:
 
 
 def _check_noise_statistics() -> str:
-    t = TimeGrid(n_points=97).points
+    grid = TimeGrid(n_points=97)
+    n_draws = 20_000
     worst = 0.0
     for kind in ("white", "gaussian", "lorentzian"):
         model = NoiseModel(kind)
-        etas = model.sample_block(7, 0, 20_000)
-        # One grid point at a time: a draws x points matrix would be ~31 MB.
-        mc = np.array([np.cos(etas * tk).mean() for tk in t])
-        worst = max(worst, float(np.max(np.abs(mc - model.avg_cos(t)))))
+        # The mean of exp(i eta t): cos averages to avg_cos(t), sin to zero by symmetry.
+        mc = _phase_sum(model, grid, n_draws, 7) / n_draws
+        cos_error = float(np.max(np.abs(mc.real - model.avg_cos(grid.points))))
+        worst = max(worst, cos_error, float(np.max(np.abs(mc.imag))))
     if worst > 0.04:
         raise AssertionError(f"Monte-Carlo dephasing factor off by {worst:.3g}")
     return f"20k-draw dephasing factors within {worst:.3g} of closed forms"
@@ -218,8 +218,8 @@ def _check_path_agreement() -> str:
     return f"exchange-coupled trace vs per-draw expm propagation within {worst:.2g} at m=5"
 
 
-def _check_shared_phase_sum() -> str:
-    # The path of the fig4a and fig4b presets: one phase sum shared by exchange-coupled runs.
+def _check_cached_phase_sum() -> str:
+    # The path of the fig4a and fig4b presets: exchange-coupled runs on one ensemble share one phase sum.
     spec = SpinSystemSpec(polarization=1.0, magnification=5.0)
     grid = TimeGrid()
     noise = NoiseModel()
@@ -229,11 +229,15 @@ def _check_shared_phase_sum() -> str:
     if chunks < 3:
         raise AssertionError(f"{chunks} chunks; at least 3 are needed to exercise the chunked reduction")
     kwargs = dict(observable=ObservableSpec.total(), n_realizations=n_draws, seed=seed, hamiltonian="heisenberg")
+    _phase_sum.cache_clear()
     own = evolve_fid(spec, initial, noise, grid, **kwargs)
-    shared = evolve_fid(spec, initial, noise, grid, phase_sum=PhaseSum.compute(noise, grid, n_draws, seed), **kwargs)
-    if own.mx.tobytes() != shared.mx.tobytes() or own.my.tobytes() != shared.my.tobytes():
-        raise AssertionError("a precomputed phase sum changed the trace")
-    return f"heisenberg trace at m=5 with a precomputed phase sum is bit-identical over {chunks} chunks"
+    cached = evolve_fid(spec, initial, noise, grid, **kwargs)
+    info = _phase_sum.cache_info()
+    if (info.misses, info.hits) != (1, 1):
+        raise AssertionError(f"two runs on one ensemble made {info.misses} phase sums and {info.hits} cache hits")
+    if own.mx.tobytes() != cached.mx.tobytes() or own.my.tobytes() != cached.my.tobytes():
+        raise AssertionError("the cached phase sum changed the trace")
+    return f"heisenberg trace at m=5 rerun on its cached phase sum is bit-identical over {chunks} chunks"
 
 
 def _check_coupling_invariance() -> str:
@@ -288,7 +292,7 @@ _CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     ("noise-statistics", _check_noise_statistics),
     ("engine-closed-form", _check_engine_closed_form),
     ("evolution-path-agreement", _check_path_agreement),
-    ("shared-phase-sum", _check_shared_phase_sum),
+    ("cached-phase-sum", _check_cached_phase_sum),
     ("coupling-invariance", _check_coupling_invariance),
     ("config-roundtrip", _check_config_roundtrip),
     ("csv-roundtrip", _check_csv_roundtrip),

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import spinfid.engine
 from spinfid import NoiseModel, SpinSystemSpec, TimeGrid
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -34,6 +35,12 @@ def subprocess_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC_DIR), env.get("PYTHONPATH"))))
     return env
+
+
+@pytest.fixture(autouse=True)
+def fresh_phase_sum_cache():
+    """Each test starts with an empty phase-sum cache, so none depends on another's ensemble."""
+    spinfid.engine._phase_sum.cache_clear()
 
 
 @pytest.fixture

@@ -13,13 +13,14 @@ import pytest
 from conftest import subprocess_env
 
 import spinfid.engine
+import spinfid.experiments
 import spinfid.operators
 from spinfid import (
     DensityMatrix,
     FidTrace,
     NoiseModel,
+    NumericInvariantError,
     ObservableSpec,
-    PhaseSum,
     PulseSpec,
     SpinSystemSpec,
     TimeGrid,
@@ -438,7 +439,7 @@ class TestPhaseSum:
         bounds = spinfid.engine._chunk_bounds(n)
         assert len(bounds) == 3 and bounds[-1] == (n - 123, n)
         noise = NoiseModel("gaussian", 28.0)
-        chunked = PhaseSum.compute(noise, grid, n, 4).values / n
+        chunked = nufft_mean(noise, grid, n, seed=4)
         # The direct sum in slices of about 1000 draws keeps its table of exponentials small.
         slices = np.array_split(noise.sample_block(4, 0, n), 9)
         reference = sum(direct_mean(etas, grid) * etas.size for etas in slices) / n
@@ -454,7 +455,7 @@ class TestZeroNoiseSignal:
         initial, noise, n = pulsed_pps(spec), NoiseModel("lorentzian", 28.0), 700
         trace = evolve_fid(spec, initial, noise, default_grid, n_realizations=n, seed=8, hamiltonian=hamiltonian)
         signal = zero_noise_signal(spec, initial, default_grid, hamiltonian=hamiltonian)
-        expected = signal * PhaseSum.compute(noise, default_grid, n, 8).values
+        expected = signal * spinfid.engine._phase_sum(noise, default_grid, n, 8)
         expected /= n
         assert trace.mx.tobytes() == expected.real.tobytes()
         assert trace.my.tobytes() == expected.imag.tobytes()
@@ -477,21 +478,28 @@ class TestZeroNoiseSignal:
             zero_noise_signal(spec, pulsed_pps(spec), default_grid)
 
 
-class TestSharedPhaseSum:
-    """A precomputed phase sum gives the same bytes and is refused for another ensemble."""
+class TestCachedPhaseSum:
+    """Consecutive runs on one ensemble share one phase sum, with the same bytes as a fresh sum."""
 
-    NOISE = NoiseModel("lorentzian", 28.0)
-    GRID = TimeGrid(t_max=0.024, n_points=97)
+    ENSEMBLE = {"noise": NoiseModel("lorentzian", 28.0), "grid": TimeGrid(t_max=0.024, n_points=97),
+                "n_realizations": 300, "seed": 5}
 
-    def run(self, spec, **kwargs):
-        return evolve_fid(spec, pulsed_pps(spec), self.NOISE, self.GRID, observable=ObservableSpec.total(),
-                          hamiltonian="heisenberg", **{"n_realizations": 300, "seed": 5, **kwargs})
+    def run(self, spec):
+        return evolve_fid(spec, pulsed_pps(spec), observable=ObservableSpec.total(), hamiltonian="heisenberg",
+                          **self.ENSEMBLE)
 
-    def test_shared_sum_gives_identical_bytes(self):
-        shared = PhaseSum.compute(self.NOISE, self.GRID, 300, 5)
-        for m in (0.0, 1.0, 5.0):
-            spec = SpinSystemSpec(polarization=1.0, magnification=m)
-            own, reused = self.run(spec), self.run(spec, phase_sum=shared)
+    @staticmethod
+    def phase_sum(ensemble):
+        return spinfid.engine._phase_sum(*ensemble.values())
+
+    def test_runs_on_one_ensemble_hit_the_cache_with_identical_bytes(self):
+        specs = [SpinSystemSpec(polarization=1.0, magnification=m) for m in (0.0, 1.0, 5.0)]
+        shared = [self.run(spec) for spec in specs]
+        info = spinfid.engine._phase_sum.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        for spec, reused in zip(specs, shared):
+            spinfid.engine._phase_sum.cache_clear()
+            own = self.run(spec)
             assert own.mx.tobytes() == reused.mx.tobytes()
             assert own.my.tobytes() == reused.my.tobytes()
 
@@ -504,49 +512,72 @@ class TestSharedPhaseSum:
             ("noise", NoiseModel("gaussian", 28.0)),
         ],
     )
-    def test_sum_from_another_ensemble_is_refused(self, field, value):
-        ensemble = {"noise": self.NOISE, "grid": self.GRID, "n_realizations": 300, "seed": 5}
-        shared = PhaseSum.compute(**{**ensemble, field: value})
-        spec = SpinSystemSpec(polarization=1.0)
-        with pytest.raises(ValueError, match=f"shared phase sum was made with {field}"):
-            self.run(spec, phase_sum=shared)
+    def test_another_ensemble_is_summed_afresh(self, field, value):
+        changed = {**self.ENSEMBLE, field: value}
+        self.phase_sum(self.ENSEMBLE)
+        got = self.phase_sum(changed)
+        assert spinfid.engine._phase_sum.cache_info().misses == 2
+        spinfid.engine._phase_sum.cache_clear()
+        assert got.tobytes() == self.phase_sum(changed).tobytes()
 
-    @staticmethod
-    def count_phase_sums(monkeypatch) -> list[int]:
-        calls = []
-        original = spinfid.engine._phase_sum
+    def test_cached_sum_is_read_only(self):
+        chi = self.phase_sum(self.ENSEMBLE)
+        assert not chi.flags.writeable
+        with pytest.raises(ValueError):
+            chi[0] = 0.0
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(spinfid.engine, "_phase_sum", counted)
-        return calls
-
-    @pytest.mark.parametrize("name", ["fig4a", "fig4b"])
-    def test_exchange_presets_sum_once(self, monkeypatch, tmp_path, name):
-        calls = self.count_phase_sums(monkeypatch)
+    @pytest.mark.parametrize("name, runs", [("fig4a", 3), ("fig4b", 6)])
+    def test_exchange_presets_sum_once(self, tmp_path, name, runs):
         run_preset(name, n_realizations=400, output=str(tmp_path / f"{name}.csv"))
-        assert len(calls) == 1
+        info = spinfid.engine._phase_sum.cache_info()
+        assert (info.misses, info.hits) == (1, runs - 1)
 
-    def test_width_sweep_sums_every_run(self, monkeypatch):
-        # A width sweep rescales every draw, so no run may reuse another's sum.
-        calls = self.count_phase_sums(monkeypatch)
+    def test_width_sweep_sums_every_run(self):
+        # A width sweep rescales every draw, so each value and the noise-off baseline need their own sum.
         base = preset_config("fig2-pps", n_realizations=200)
         sweep_residuals(base, np.array([10.0, 28.0]), param="width")
-        assert len(calls) == 3
+        info = spinfid.engine._phase_sum.cache_info()
+        assert (info.misses, info.hits) == (3, 0)
 
-    def test_fig4b_table_matches_unshared_runs(self, tmp_path):
+    def test_fig4b_table_matches_runs_on_a_cleared_cache(self, tmp_path):
         base = preset_config("fig4b", n_realizations=400)
         table = run_preset("fig4b", n_realizations=400, output=str(tmp_path / "fig4b.csv")).table
 
         def trace(m):
+            spinfid.engine._phase_sum.cache_clear()
             config = replace(base, system=replace(base.system, magnification=m), output=None)
             return run_experiment(config, oracles={}).trace
 
         baseline = trace(0.0)
         expected = np.array([residual_ratio(trace(m), baseline) for m in table["m"]])
         assert table["r_numeric"].tobytes() == expected.tobytes()
+
+
+class TestSweepRuns:
+    def test_sweep_prepares_the_initial_state_once(self, monkeypatch):
+        calls = []
+        original = spinfid.experiments.build_initial_state
+
+        def counted(config):
+            calls.append(config)
+            return original(config)
+
+        monkeypatch.setattr(spinfid.experiments, "build_initial_state", counted)
+        base = preset_config("fig4b", n_realizations=50)
+        sweep_residuals(base, np.array([1.0, 2.0, 3.0]))
+        assert calls == [base]
+
+    def test_non_finite_trace_is_refused_by_runs_and_sweeps(self, monkeypatch):
+        def nan_trace(spec, initial, noise, grid, **kwargs):
+            nan = np.full(grid.n_points, np.nan)
+            return FidTrace.from_components(grid, nan, nan, n_realizations=1, seed=0)
+
+        monkeypatch.setattr(spinfid.experiments, "evolve_fid", nan_trace)
+        base = preset_config("fig4b", n_realizations=50)
+        with pytest.raises(NumericInvariantError, match="non-finite"):
+            run_experiment(base)
+        with pytest.raises(NumericInvariantError, match="non-finite"):
+            sweep_residuals(base, np.array([1.0]))
 
 
 class TestOperatorReuse:

@@ -72,6 +72,16 @@ class TestSampling:
         tail = model.sample_block(1001, 37, 63)
         assert np.array_equal(full[37:], tail)
 
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("seed, start, count", [(3, 0, 5000), (9, 123, 4096), (2**31, 7, 1)])
+    def test_matches_the_generator_random_path(self, kind, seed, start, count):
+        # Each realization converts the first double Generator.random() draws from its Philox block.
+        bitgen = np.random.Philox(key=seed)
+        bitgen.advance(start)
+        raw = np.random.Generator(bitgen).random(4 * count)[::4]
+        model = NoiseModel(kind, 28.0)
+        assert model.sample_block(seed, start, count).tobytes() == model._quantile(raw).tobytes()
+
     def test_different_seeds_differ(self):
         model = NoiseModel("gaussian", 28.0)
         assert not np.array_equal(model.sample_block(1, 0, 50), model.sample_block(2, 0, 50))
