@@ -45,28 +45,30 @@ exp(i k x_r) = exp(i k h j_r) sum_{p<P} (i k h f_r)^p / p!.  Row p of a
 (P, M) histogram sums f_r^p over the draws in each bin: per chunk, one
 np.bincount call per row, with f_r^p formed as a running product of
 offsets.  A real FFT of each row, conjugated, weighted by
-(i k h)^p / p! (a table kept per grid length) and summed over p gives
-the sum for k < n.  Since M >= 2n, |k h f_r| < pi / 2, so with P = 20
-terms the first omitted term is below (pi / 2)^20 / 20! = 3.4e-15 per
-draw.  The mean stays within 2e-14 of the direct sum of exp(i eta_r t_k)
-for all three noise kinds on grids of 2 to 4001 points; the tests hold
-it to 1e-12.  The cost is P products and P bincount weights per draw,
-whatever n is, plus P M histogram cells per chunk and P real M-point
-FFTs per call.  A power-of-two M keeps pocketfft off its slow path for
-lengths with a large prime factor.
+(i k h)^p / p! and summed over p gives the sum for k < n.  The rows are
+finished one at a time, the weights of row p formed from those of row
+p - 1, so a call holds one spectrum and one weight row besides the
+histogram, and nothing but the finished sum outlives it.  Since M >= 2n,
+|k h f_r| < pi / 2, so with P = 20 terms the first omitted term is below
+(pi / 2)^20 / 20! = 3.4e-15 per draw.  The mean stays within 2e-14 of
+the direct sum of exp(i eta_r t_k) for all three noise kinds on grids of
+2 to 4001 points; the tests hold it to 1e-12.  The cost is P products
+and P bincount weights per draw, whatever n is, plus P M histogram cells
+per chunk and P real M-point FFTs per call.  A power-of-two M keeps
+pocketfft off its slow path for lengths with a large prime factor.
 
 Determinism: realizations are split into fixed-size chunks whose
 boundaries depend only on the realization count, and the chunks run in
 order in the calling thread.  Each f_r^p is the product of p offsets
 taken in the same order, np.bincount adds each row's weights in input
-order, the chunk histograms are added in chunk order, and the FFTs
-and the weighted sum over p run once on their total.  No step calls BLAS
-(bincount, elementwise products, sums along an axis and numpy's pocketfft
-have no BLAS call), whose threaded kernels split sums by the BLAS thread
-count.  So on one numpy build and SIMD dispatch level the results are
-bit-identical for any BLAS thread count.  Across SIMD levels numpy's exp
-and complex products take other vector paths, and the values agree to
-1e-15.
+order, the chunk histograms are added in chunk order, and their total
+is finished row by row: each row's FFT is weighted and added in p order.
+No step calls BLAS (bincount, elementwise products, sums along an axis
+and numpy's pocketfft have no BLAS call), whose threaded kernels split
+sums by the BLAS thread count.  So on one numpy build and SIMD dispatch
+level the results are bit-identical for any BLAS thread count.  Across
+SIMD levels numpy's exp and complex products take other vector paths,
+and the values agree to 1e-15.
 """
 
 from __future__ import annotations
@@ -110,12 +112,11 @@ _TAYLOR_TERMS = 20
 # cells than _MAX_WORK_CELLS (R * _TAYLOR_TERMS + chunks * _TAYLOR_TERMS * M),
 # or whose (_TAYLOR_TERMS, M) histogram would hold more than
 # _MAX_HISTOGRAM_CELLS.  The work bound caps time but not memory: one draw on
-# a huge grid does little work yet needs the whole histogram (8 bytes a cell),
-# its rfft (16 bytes per mode, M / 2 + 1 modes a row) and the complex
-# (_TAYLOR_TERMS, n) table of _taylor_weights.  M <= 2^20 (grids up to 524 288
-# points, 128 times the largest preset grid) gives about 168 MB for each of the
-# three, so just over 500 MB for one call, and _taylor_weights keeps up to four
-# tables between calls, up to 671 MB at this bound.
+# a huge grid does little work yet needs the whole histogram (8 bytes a cell).
+# M <= 2^20 (grids up to 524 288 points, 128 times the largest preset grid)
+# gives about 168 MB of histogram.  The finish adds O(n) rows (one spectrum of
+# M / 2 + 1 modes, the weight row and the sum, about 8.4 MB each at this bound),
+# and no table is kept between calls.
 _MAX_WORK_CELLS = 20_000_000_000
 _MAX_HISTOGRAM_CELLS = _TAYLOR_TERMS << 20
 
@@ -291,18 +292,6 @@ def _bin_count(n_points: int) -> int:
     return 1 << (2 * n_points - 1).bit_length()
 
 
-@functools.lru_cache(maxsize=4)
-def _taylor_weights(n_points: int) -> np.ndarray:
-    """Read-only (P, n) table of (-i k h)^p / p!, h = 2 pi / M: the Taylor weights of mode k."""
-    minus_ikh = (-2j * math.pi / _bin_count(n_points)) * np.arange(n_points)
-    weights = np.empty((_TAYLOR_TERMS, n_points), dtype=complex)
-    weights[0] = 1.0
-    for p in range(1, _TAYLOR_TERMS):
-        np.multiply(weights[p - 1], minus_ikh / p, out=weights[p])
-    weights.setflags(write=False)
-    return weights
-
-
 @functools.lru_cache(maxsize=1)
 def _phase_sum(noise: NoiseModel, grid: TimeGrid, n_realizations: int, seed: int) -> np.ndarray:
     """Read-only R chi(t_k) = sum_r exp(i eta_r t_k) on the grid, by a type-1 NUFFT (see the module docstring).
@@ -332,11 +321,21 @@ def _phase_sum(noise: NoiseModel, grid: TimeGrid, n_realizations: int, seed: int
         for row in hist:
             row += np.bincount(cells, weights=power, minlength=m)
             power *= offset
-    # Mode k of rfft row p is sum_j H_p[j] exp(-i k h j), so the weighted sum over p is the
-    # conjugate of R chi(t_k) (see _taylor_weights).
-    modes = np.fft.rfft(hist, axis=1)[:, :n]
-    modes *= _taylor_weights(n)
-    chi = modes.sum(axis=0).conj()
+    # Mode k of rfft row p is sum_j H_p[j] exp(-i k h j), so the sum over p of its first n modes
+    # times w_p = (-i k h)^p / p! is the conjugate of R chi(t_k).  The rows go one at a time
+    # through one spectrum; w_p = w_{p-1} (-i k h / p), and the rows are added in p order.
+    minus_ikh = (-2j * math.pi / m) * np.arange(n)
+    spectrum = np.empty(m // 2 + 1, dtype=complex)
+    modes = spectrum[:n]
+    weight = np.ones(n, dtype=complex)
+    chi = np.zeros(n, dtype=complex)
+    for p, row in enumerate(hist):
+        if p:
+            weight *= minus_ikh / p
+        np.fft.rfft(row, out=spectrum)
+        modes *= weight
+        chi += modes
+    np.conjugate(chi, out=chi)
     chi.setflags(write=False)
     return chi
 
