@@ -46,9 +46,10 @@ exp(i k x_r) = exp(i k h j_r) sum_{p<P} (i k h f_r)^p / p!.  Row p of a
 np.bincount call per row, with f_r^p formed as a running product of
 offsets.  A real FFT of each row, conjugated, weighted by
 (i k h)^p / p! and summed over p gives the sum for k < n.  The rows are
-finished one at a time, the weights of row p formed from those of row
-p - 1, so a call holds one spectrum and one weight row besides the
-histogram, and nothing but the finished sum outlives it.  Since M >= 2n,
+transformed five at a time and weighted and added one at a time, the
+weights of row p formed from those of row p - 1, so a call holds five
+spectra and one weight row besides the histogram, and nothing but the
+finished sum outlives it.  Since M >= 2n,
 |k h f_r| < pi / 2, so with P = 20 terms the first omitted term is below
 (pi / 2)^20 / 20! = 3.4e-15 per draw.  The mean stays within 2e-14 of
 the direct sum of exp(i eta_r t_k) for all three noise kinds on grids of
@@ -62,7 +63,8 @@ boundaries depend only on the realization count, and the chunks run in
 order in the calling thread.  Each f_r^p is the product of p offsets
 taken in the same order, np.bincount adds each row's weights in input
 order, the chunk histograms are added in chunk order, and their total
-is finished row by row: each row's FFT is weighted and added in p order.
+is finished five rows to an FFT call: each row's FFT is weighted and
+added in p order.
 No step calls BLAS (bincount, elementwise products, sums along an axis
 and numpy's pocketfft have no BLAS call), whose threaded kernels split
 sums by the BLAS thread count.  So on one numpy build and SIMD dispatch
@@ -108,15 +110,20 @@ _CHUNK_DRAWS = 4096
 # offset from its bin centre is expanded to _TAYLOR_TERMS powers.
 _TAYLOR_TERMS = 20
 
+# Histogram rows per rfft call when the phase sum is finished: fewer calls than
+# one row each, and a far smaller spectrum than all _TAYLOR_TERMS rows at once.
+_FINISH_ROWS = 5
+
 # Refuse a phase sum that would add more bincount entries plus chunk-histogram
 # cells than _MAX_WORK_CELLS (R * _TAYLOR_TERMS + chunks * _TAYLOR_TERMS * M),
 # or whose (_TAYLOR_TERMS, M) histogram would hold more than
 # _MAX_HISTOGRAM_CELLS.  The work bound caps time but not memory: one draw on
 # a huge grid does little work yet needs the whole histogram (8 bytes a cell).
 # M <= 2^20 (grids up to 524 288 points, 128 times the largest preset grid)
-# gives about 168 MB of histogram.  The finish adds O(n) rows (one spectrum of
-# M / 2 + 1 modes, the weight row and the sum, about 8.4 MB each at this bound),
-# and no table is kept between calls.
+# gives about 168 MB of histogram.  The finish adds one block of _FINISH_ROWS
+# spectra of M / 2 + 1 modes (about 42 MB at this bound) and a few O(n) rows
+# (the weight row and the sum, about 8.4 MB each), and no table is kept
+# between calls.
 _MAX_WORK_CELLS = 20_000_000_000
 _MAX_HISTOGRAM_CELLS = _TAYLOR_TERMS << 20
 
@@ -322,19 +329,19 @@ def _phase_sum(noise: NoiseModel, grid: TimeGrid, n_realizations: int, seed: int
             row += np.bincount(cells, weights=power, minlength=m)
             power *= offset
     # Mode k of rfft row p is sum_j H_p[j] exp(-i k h j), so the sum over p of its first n modes
-    # times w_p = (-i k h)^p / p! is the conjugate of R chi(t_k).  The rows go one at a time
-    # through one spectrum; w_p = w_{p-1} (-i k h / p), and the rows are added in p order.
+    # times w_p = (-i k h)^p / p! is the conjugate of R chi(t_k).  The rows go through rfft
+    # _FINISH_ROWS at a time; w_p = w_{p-1} (-i k h / p), and the rows are added in p order.
     minus_ikh = (-2j * math.pi / m) * np.arange(n)
-    spectrum = np.empty(m // 2 + 1, dtype=complex)
-    modes = spectrum[:n]
     weight = np.ones(n, dtype=complex)
     chi = np.zeros(n, dtype=complex)
-    for p, row in enumerate(hist):
-        if p:
-            weight *= minus_ikh / p
-        np.fft.rfft(row, out=spectrum)
-        modes *= weight
-        chi += modes
+    for first in range(0, terms, _FINISH_ROWS):
+        spectrum = np.fft.rfft(hist[first : first + _FINISH_ROWS], axis=1)
+        for p, modes in enumerate(spectrum[:, :n], first):
+            if p:
+                weight *= minus_ikh / p
+            modes *= weight
+            chi += modes
+        del spectrum, modes  # free this block before the next one is transformed
     np.conjugate(chi, out=chi)
     chi.setflags(write=False)
     return chi
