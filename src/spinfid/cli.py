@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config_file
-from .csvio import CsvFormatError, write_csv
+from .csvio import write_csv
 from .experiments import (
     PRESET_NAMES,
     SWEEP_PARAMS,
@@ -188,9 +188,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CsvFormatError as exc:
-        print(f"format error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericInvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -38,9 +38,11 @@ is an unsigned 64-bit decimal.  Every key is optional and falls back to
 the documented default (the readout ``observable`` defaults to the
 pulsed spin, ``single:<pulse_target>``), but unknown sections or keys
 are an error, as is any malformed or empty value (an empty ``delta`` or
-``j`` is the empty list).  ``serialize_config`` writes every field
-explicitly with round-trippable number formatting, so
-parse(serialize(c)) == c.
+``j`` is the empty list).  Each key's reader is a one-argument converter
+that raises ``ValueError``; the section reader reports any such failure
+as one ``ConfigError`` worded ``[section] key: <reason>``.
+``serialize_config`` writes every field explicitly with round-trippable
+number formatting, so parse(serialize(c)) == c.
 """
 
 from __future__ import annotations
@@ -116,71 +118,56 @@ class RunConfig:
         self.observable.sites(self.system.n_spins)
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
+def _parse_float(raw: str) -> float:
+    value = float(raw)
     if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key}: value must be finite, got {raw!r}")
+        raise ValueError(f"value must be finite, got {raw!r}")
     return value
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw, 10)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
-
-
-def _parse_bool(section: str, key: str, raw: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("true", "yes", "on", "1"):
         return True
     if lowered in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
+def _parse_float_list(raw: str) -> tuple[float, ...]:
     items = [piece.strip() for piece in raw.split(",")]
-    if items == [""]:
-        return ()
-    return tuple(_parse_float(section, key, piece) for piece in items)
+    return () if items == [""] else tuple(map(_parse_float, items))
 
 
-def _parse_text(section: str, key: str, raw: str) -> str:
-    return raw
-
-
-def _parse_word(section: str, key: str, raw: str) -> str:
+def _parse_word(raw: str) -> str:
     return raw.strip().lower()
 
 
-def _parse_choice(choices: tuple[str, ...]) -> Callable[[str, str, str], str]:
-    def parse(section: str, key: str, raw: str) -> str:
-        word = _parse_word(section, key, raw)
+def _parse_choice(choices: tuple[str, ...]) -> Callable[[str], str]:
+    def parse(raw: str) -> str:
+        word = _parse_word(raw)
         if word not in choices:
-            raise ConfigError(f"[{section}] {key} must be one of {choices}, got {word!r}")
+            raise ValueError(f"must be one of {choices}, got {word!r}")
         return word
 
     return parse
 
 
-def _parse_observable(section: str, key: str, raw: str) -> ObservableSpec:
-    text = _parse_word(section, key, raw)
+def _parse_observable(raw: str) -> ObservableSpec:
+    text = _parse_word(raw)
     if text == "total":
         return ObservableSpec.total()
     if text.startswith("single:"):
-        return ObservableSpec.single(_parse_int(section, key, text.split(":", 1)[1]))
-    raise ConfigError(f"[{section}] {key}: expected 'total' or 'single:<spin>', got {raw!r}")
+        return ObservableSpec.single(int(text.split(":", 1)[1]))
+    raise ValueError(f"expected 'total' or 'single:<spin>', got {raw!r}")
 
 
-# Every key a document may set, with the reader of its value.  A key that
-# names a field of the dataclass behind its section is passed on as is.
-_KEYS: dict[str, dict[str, Callable[[str, str, str], object]]] = {
+# Every key a document may set, with the reader of its value: a one-argument
+# converter that raises ValueError.  A key that names a field of the
+# dataclass behind its section is passed on as is.
+_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
     "system": {
-        "n_spins": _parse_int,
+        "n_spins": int,
         "delta": _parse_float_list,
         "j": _parse_float_list,
         "polarization": _parse_float,
@@ -192,19 +179,19 @@ _KEYS: dict[str, dict[str, Callable[[str, str, str], object]]] = {
     "noise": {"kind": _parse_choice(NOISE_KINDS), "width": _parse_float},
     "state": {
         "kind": _parse_choice(STATE_KINDS),
-        "label": _parse_text,
-        "pulse_target": _parse_int,
+        "label": str,
+        "pulse_target": int,
         "pulse_axis": _parse_word,
         "pulse_angle": _parse_float,
     },
-    "grid": {"t_max": _parse_float, "n_points": _parse_int},
-    "ensemble": {"n_realizations": _parse_int, "seed": _parse_int},
-    "run": {"hamiltonian": _parse_word, "observable": _parse_observable, "output": _parse_text},
+    "grid": {"t_max": _parse_float, "n_points": int},
+    "ensemble": {"n_realizations": int, "seed": int},
+    "run": {"hamiltonian": _parse_word, "observable": _parse_observable, "output": str},
 }
 
 
 def _read_section(parser: configparser.ConfigParser, section: str) -> dict[str, object]:
-    """Parsed values of the keys a document sets in one section."""
+    """Parsed values of the keys a document sets in one section; a bad value is a ConfigError here."""
     if not parser.has_section(section):
         return {}
     values = {}
@@ -212,9 +199,12 @@ def _read_section(parser: configparser.ConfigParser, section: str) -> dict[str, 
         if key not in _KEYS[section]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
         read = _KEYS[section][key]
-        if not raw and read is not _parse_float_list:
-            raise ConfigError(f"[{section}] {key}: empty value; omit the key to take its default")
-        values[key] = read(section, key, raw)
+        try:
+            if not raw and read is not _parse_float_list:
+                raise ValueError("empty value; omit the key to take its default")
+            values[key] = read(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from None
     return values
 
 

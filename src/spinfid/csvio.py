@@ -14,12 +14,13 @@ Floats are written with ``repr`` so every value round-trips bit-exactly;
 metadata trails the data as ``# key = value`` comment lines.  The loader
 returns the columns and metadata and can rebuild a trace object, checking
 that the time column is a uniform grid starting at zero and that the
-magnitude column matches ``hypot(mx, my)``.
+magnitude column matches ``hypot(mx, my)``; each of its errors names the file.
 """
 
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -125,21 +126,24 @@ class TableData:
         return out
 
     def trace(self) -> FidTrace:
-        """Rebuild the trace object, validating grid and magnitude."""
+        """Rebuild the trace object, validating grid and magnitude; every error names the file."""
         missing = [name for name in TRACE_COLUMNS if name not in self.columns]
         if missing:
-            raise CsvFormatError(f"not a trace file: missing columns {missing}")
+            raise CsvFormatError(f"{self.path}: not a trace file: missing columns {missing}")
         t = self.columns["t_s"]
         if t.shape[0] < 2:
-            raise CsvFormatError("trace needs at least two time samples")
+            raise CsvFormatError(f"{self.path}: trace needs at least two time samples")
         if t[0] != 0.0:
-            raise CsvFormatError(f"time axis must start at 0, got {t[0]!r}")
-        grid = TimeGrid(t_max=float(t[-1]), n_points=t.shape[0])
+            raise CsvFormatError(f"{self.path}: time axis must start at 0, got {t[0]!r}")
+        try:
+            grid = TimeGrid(t_max=float(t[-1]), n_points=t.shape[0])
+        except ValueError as exc:
+            raise CsvFormatError(f"{self.path}: time axis: {exc}") from None
         if not np.allclose(t, grid.points, rtol=0.0, atol=1e-12 * max(1.0, abs(t[-1]))):
-            raise CsvFormatError("time axis is not a uniform grid")
+            raise CsvFormatError(f"{self.path}: time axis is not a uniform grid")
         mx, my, mperp = self.columns["mx"], self.columns["my"], self.columns["mperp"]
         if not np.allclose(mperp, np.hypot(mx, my), rtol=0.0, atol=1e-12):
-            raise CsvFormatError("mperp column does not match hypot(mx, my)")
+            raise CsvFormatError(f"{self.path}: mperp column does not match hypot(mx, my)")
         numbers: dict[str, int | float] = {}
         for key, parse, default in (("n_realizations", int, 0), ("seed", int, 0), ("polarization", float, 1.0)):
             raw = self.metadata.get(key, "")
@@ -151,37 +155,35 @@ class TableData:
 
 
 def load_csv(path: str) -> TableData:
-    """Read a file written by :func:`write_csv` back into columns."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        lines = handle.read().split("\n")
-    if not lines or not lines[0].strip():
-        raise CsvFormatError(f"{path}: empty file")
-    header = [name.strip() for name in lines[0].split(",")]
-    if len(set(header)) != len(header):
-        raise CsvFormatError(f"{path}: duplicate column names in header")
-    rows: list[list[float]] = []
+    """Read a file written by :func:`write_csv` back into columns, one line at a time."""
+    values = array("d")  # every data value, row after row
     metadata: dict[str, str] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" not in body:
-                raise CsvFormatError(f"{path}:{lineno}: metadata line without '='")
-            key, _, value = body.partition("=")
-            metadata[key.strip()] = value.strip()
-            continue
-        if metadata:
-            raise CsvFormatError(f"{path}:{lineno}: data row after metadata block")
-        pieces = line.split(",")
-        if len(pieces) != len(header):
-            raise CsvFormatError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(pieces)}"
-            )
-        try:
-            rows.append([float(piece) for piece in pieces])
-        except ValueError:
-            raise CsvFormatError(f"{path}:{lineno}: non-numeric field") from None
-    table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-    columns = {name: np.ascontiguousarray(table[:, k]) for k, name in enumerate(header)}
-    return TableData(columns=columns, metadata=metadata, path=path)
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
+        header = [name.strip() for name in handle.readline().split(",")]
+        if header == [""]:
+            raise CsvFormatError(f"{path}: empty file")
+        if len(set(header)) != len(header):
+            raise CsvFormatError(f"{path}: duplicate column names in header")
+        for lineno, line in enumerate(handle, start=2):
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if "=" not in body:
+                    raise CsvFormatError(f"{path}:{lineno}: metadata line without '='")
+                key, _, value = body.partition("=")
+                metadata[key.strip()] = value.strip()
+                continue
+            if metadata:
+                raise CsvFormatError(f"{path}:{lineno}: data row after metadata block")
+            pieces = line.split(",")
+            if len(pieces) != len(header):
+                raise CsvFormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(pieces)}")
+            try:
+                values.extend(map(float, pieces))
+            except ValueError:
+                raise CsvFormatError(f"{path}:{lineno}: non-numeric field") from None
+    # Older NumPy refuses np.frombuffer on an empty buffer.
+    flat = np.frombuffer(values, dtype=np.float64) if values else np.empty(0)
+    table = flat.reshape(-1, len(header)).T.copy()
+    return TableData(columns=dict(zip(header, table)), metadata=metadata, path=path)

@@ -199,6 +199,13 @@ class TestSimulate:
         assert result.returncode == 2
         assert "config error" in result.stderr
 
+    def test_negative_observable_index_is_a_config_error(self, tmp_path):
+        ini = tmp_path / "negative.ini"
+        ini.write_text(SMALL_INI + "[run]\nobservable = single:-1\n")
+        result = run_cli("simulate", str(ini), cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.startswith("config error: [run] observable:")
+
     def test_default_section_named_as_unknown(self, tmp_path):
         ini = tmp_path / "default.ini"
         ini.write_text(SMALL_INI + "[DEFAULT]\nseed = 5\n")

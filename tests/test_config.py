@@ -150,6 +150,7 @@ class TestRejection:
             (with_key("ensemble", "seed = -1"), "seed"),
             (with_key("ensemble", "n_realizations = 0"), "n_realizations"),
             (MINIMAL + "[run]\nobservable = pair:1\n", "observable"),
+            (MINIMAL + "[run]\nobservable = single:-1\n", r"\[run\] observable"),
             (MINIMAL + "[run]\nhamiltonian = dipolar\n", "hamiltonian"),
             (with_key("system", "coupling_form = dipolar"), "coupling_form"),
             (with_key("system", "delta = 0, nan, 5"), "delta"),

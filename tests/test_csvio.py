@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,16 @@ class TestRoundTrip:
         assert set(back) == {"pps", "envelope"}
         for name in oracles:
             assert np.array_equal(back[name], oracles[name])
+
+    @pytest.mark.parametrize("metadata", [{}, {"note": "no rows"}], ids=["bare", "with-metadata"])
+    def test_header_only_file_loads_empty_float_columns(self, tmp_path, metadata):
+        path = tmp_path / "empty_table.csv"
+        write_csv(str(path), ["m", "residual"], [np.empty(0), np.empty(0)], metadata=metadata)
+        data = load_csv(str(path))
+        assert list(data.columns) == ["m", "residual"]
+        for column in data.columns.values():
+            assert column.dtype == np.float64 and column.shape == (0,)
+        assert data.metadata == metadata
 
     def test_generic_table_round_trip(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -237,7 +249,7 @@ class TestLoaderValidation:
 
     def test_trace_requires_all_columns(self, tmp_path):
         path = self.write_lines(tmp_path, ["t_s,mx", "0.0,1.0", "0.1,0.9"])
-        with pytest.raises(CsvFormatError, match="missing columns"):
+        with pytest.raises(CsvFormatError, match=r"bad\.csv: not a trace file: missing columns"):
             load_csv(path).trace()
 
     def test_trace_magnitude_consistency_enforced(self, tmp_path):
@@ -245,7 +257,7 @@ class TestLoaderValidation:
             tmp_path,
             ["t_s,mx,my,mperp", "0.0,1.0,0.0,1.0", "0.001,0.5,0.0,0.9"],
         )
-        with pytest.raises(CsvFormatError, match="hypot"):
+        with pytest.raises(CsvFormatError, match=r"bad\.csv: mperp column does not match hypot"):
             load_csv(path).trace()
 
     def test_trace_time_axis_must_start_at_zero(self, tmp_path):
@@ -253,7 +265,13 @@ class TestLoaderValidation:
             tmp_path,
             ["t_s,mx,my,mperp", "0.001,1.0,0.0,1.0", "0.002,0.5,0.0,0.5"],
         )
-        with pytest.raises(CsvFormatError, match="start at 0"):
+        with pytest.raises(CsvFormatError, match=r"bad\.csv: time axis must start at 0"):
+            load_csv(path).trace()
+
+    @pytest.mark.parametrize("t_end", ["0.0", "nan", "inf", "-0.001"])
+    def test_trace_time_axis_must_end_positive_and_finite(self, tmp_path, t_end):
+        path = self.write_lines(tmp_path, ["t_s,mx,my,mperp", "0.0,1.0,0.0,1.0", f"{t_end},0.5,0.0,0.5"])
+        with pytest.raises(CsvFormatError, match=r"bad\.csv: time axis: t_max must be positive and finite"):
             load_csv(path).trace()
 
     def test_trace_time_axis_must_be_uniform(self, tmp_path):
@@ -266,7 +284,7 @@ class TestLoaderValidation:
                 "0.005,0.25,0.0,0.25",
             ],
         )
-        with pytest.raises(CsvFormatError, match="uniform"):
+        with pytest.raises(CsvFormatError, match=r"bad\.csv: time axis is not a uniform grid"):
             load_csv(path).trace()
 
     @pytest.mark.parametrize("key", ["seed", "n_realizations", "polarization"])
@@ -280,5 +298,25 @@ class TestLoaderValidation:
 
     def test_trace_needs_two_samples(self, tmp_path):
         path = self.write_lines(tmp_path, ["t_s,mx,my,mperp", "0.0,1.0,0.0,1.0"])
-        with pytest.raises(CsvFormatError, match="two time samples"):
+        with pytest.raises(CsvFormatError, match=r"bad\.csv: trace needs at least two time samples"):
             load_csv(path).trace()
+
+
+class TestLoaderMemory:
+    def test_peak_memory_stays_near_the_values(self, tmp_path):
+        # The whole text, its lines and a list of float rows peak near 11x the values; one flat buffer
+        # and one transposed copy, near 2x.
+        grid = TimeGrid(n_points=4001)
+        phase = 2.0 * np.pi * 300.0 * grid.points
+        trace = FidTrace.from_components(grid, np.cos(phase), np.sin(phase), n_realizations=1, seed=1)
+        path = str(tmp_path / "long.csv")
+        emit_trace_csv(path, trace, oracles={"envelope": np.ones(grid.n_points)})
+        value_bytes = grid.n_points * 5 * 8
+        load_csv(path).trace()  # warm-up: first-call caches are not the reader's
+        tracemalloc.start()
+        try:
+            load_csv(path).trace()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * value_bytes
