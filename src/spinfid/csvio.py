@@ -14,7 +14,10 @@ Floats are written with ``repr`` so every value round-trips bit-exactly;
 metadata trails the data as ``# key = value`` comment lines.  The loader
 returns the columns and metadata and can rebuild a trace object, checking
 that the time column is a uniform grid starting at zero and that the
-magnitude column matches ``hypot(mx, my)``; each of its errors names the file.
+magnitude column matches ``hypot(mx, my)`` to 1e-12; each of its errors
+names the file.  The rebuilt trace derives its ``mperp`` from the loaded
+``mx`` and ``my``, as every trace does, so the file's magnitude column is
+checked but not kept.
 """
 
 from __future__ import annotations
@@ -141,8 +144,8 @@ class TableData:
             raise CsvFormatError(f"{self.path}: time axis: {exc}") from None
         if not np.allclose(t, grid.points, rtol=0.0, atol=1e-12 * max(1.0, abs(t[-1]))):
             raise CsvFormatError(f"{self.path}: time axis is not a uniform grid")
-        mx, my, mperp = self.columns["mx"], self.columns["my"], self.columns["mperp"]
-        if not np.allclose(mperp, np.hypot(mx, my), rtol=0.0, atol=1e-12):
+        mx, my = self.columns["mx"], self.columns["my"]
+        if not np.allclose(self.columns["mperp"], np.hypot(mx, my), rtol=0.0, atol=1e-12):
             raise CsvFormatError(f"{self.path}: mperp column does not match hypot(mx, my)")
         numbers: dict[str, int | float] = {}
         for key, parse, default in (("n_realizations", int, 0), ("seed", int, 0), ("polarization", float, 1.0)):
@@ -151,7 +154,7 @@ class TableData:
                 numbers[key] = parse(raw) if raw else default
             except ValueError:
                 raise CsvFormatError(f"{self.path}: metadata {key!r} is not a number: {raw!r}") from None
-        return FidTrace(grid=grid, mx=mx, my=my, mperp=mperp, **numbers)
+        return FidTrace(grid, mx, my, **numbers)
 
 
 def load_csv(path: str) -> TableData:

@@ -100,10 +100,9 @@ def spin_operators(n_spins: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Propagator:
-    """Unitary time-evolution operator exp(-i H t) with its duration in seconds."""
+    """Unitary time-evolution operator exp(-i H t)."""
 
     matrix: np.ndarray
-    duration: float
 
     def __post_init__(self) -> None:
         require_square(self.matrix)
@@ -126,7 +125,7 @@ def expm_hermitian(h: np.ndarray, t: float) -> Propagator:
     require_hermitian(h)
     vals, vecs = np.linalg.eigh(h)
     u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-    return Propagator(matrix=u, duration=float(t))
+    return Propagator(matrix=u)
 
 
 @dataclass(frozen=True)
@@ -136,8 +135,7 @@ class DensityMatrix:
     Positivity is deliberately not enforced at construction.  The
     high-temperature (linearized) thermal state used here carries
     negative eigenvalues once n*|p| exceeds 1 while remaining a valid
-    source of expectation values, which are linear in the state.  Use
-    :meth:`min_eigenvalue` where positivity is part of the contract.
+    source of expectation values, which are linear in the state.
     """
 
     matrix: np.ndarray
@@ -158,9 +156,6 @@ class DensityMatrix:
     @property
     def n_spins(self) -> int:
         return int(self.dim).bit_length() - 1
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
 
     def expect(self, observable: np.ndarray) -> float:
         """Real expectation value Tr(rho * observable) of a Hermitian observable."""

@@ -160,7 +160,7 @@ class TestWriterBytes:
 def random_trace(grid: TimeGrid, seed: int) -> FidTrace:
     rng = np.random.default_rng(seed)
     mx, my = rng.normal(size=(2, grid.n_points))
-    return FidTrace.from_components(grid, mx, my, n_realizations=7, seed=seed, polarization=-0.5)
+    return FidTrace(grid, mx, my, n_realizations=7, seed=seed, polarization=-0.5)
 
 
 class TestTimeColumnText:
@@ -260,6 +260,21 @@ class TestLoaderValidation:
         with pytest.raises(CsvFormatError, match=r"bad\.csv: mperp column does not match hypot"):
             load_csv(path).trace()
 
+    def test_trace_derives_mperp_from_the_loaded_components(self, sample_trace, tmp_path):
+        # A magnitude column off by 1e-13 passes the check, and the trace takes hypot(mx, my), not the column.
+        path = tmp_path / "trace.csv"
+        emit_trace_csv(str(path), sample_trace)
+        lines = path.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[3] = repr(float(cells[3]) + 1e-13)
+        lines[5] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        table = load_csv(str(path))
+        assert table.columns["mperp"][4] != sample_trace.mperp[4]
+        trace = table.trace()
+        assert trace.mperp.tobytes() == np.hypot(table.columns["mx"], table.columns["my"]).tobytes()
+        assert trace.mperp.tobytes() == sample_trace.mperp.tobytes()
+
     def test_trace_time_axis_must_start_at_zero(self, tmp_path):
         path = self.write_lines(
             tmp_path,
@@ -308,7 +323,7 @@ class TestLoaderMemory:
         # and one transposed copy, near 2x.
         grid = TimeGrid(n_points=4001)
         phase = 2.0 * np.pi * 300.0 * grid.points
-        trace = FidTrace.from_components(grid, np.cos(phase), np.sin(phase), n_realizations=1, seed=1)
+        trace = FidTrace(grid, np.cos(phase), np.sin(phase), n_realizations=1, seed=1)
         path = str(tmp_path / "long.csv")
         emit_trace_csv(path, trace, oracles={"envelope": np.ones(grid.n_points)})
         value_bytes = grid.n_points * 5 * 8

@@ -620,7 +620,7 @@ class TestSweepRuns:
     def test_non_finite_trace_is_refused_by_runs_and_sweeps(self, monkeypatch):
         def nan_trace(spec, initial, noise, grid, **kwargs):
             nan = np.full(grid.n_points, np.nan)
-            return FidTrace.from_components(grid, nan, nan, n_realizations=1, seed=0)
+            return FidTrace(grid, nan, nan, n_realizations=1, seed=0)
 
         monkeypatch.setattr(spinfid.experiments, "evolve_fid", nan_trace)
         base = preset_config("fig4b", n_realizations=50)
@@ -680,50 +680,44 @@ class TestFidTrace:
             pps_system, pulsed_pps(pps_system), NoiseModel("lorentzian", 28.0),
             default_grid, n_realizations=100, seed=2,
         )
-        assert np.allclose(trace.mperp, np.hypot(trace.mx, trace.my), atol=1e-15)
+        assert trace.mperp.tobytes() == np.hypot(trace.mx, trace.my).tobytes()
+        assert not trace.mperp.flags.writeable
 
-    def test_normalization_divides_by_polarization(self, default_grid):
-        spec = SpinSystemSpec(polarization=0.25)
-        trace = evolve_fid(
-            spec, pulsed_pps(spec), NoiseModel("lorentzian", 28.0),
-            default_grid, n_realizations=100, seed=2,
-        )
-        # the start amplitude is |p|/2, so per unit polarization it is 1/2
-        assert trace.mperp_normalized[0] == pytest.approx(0.5)
-        assert np.allclose(trace.mperp_normalized, trace.mperp / 0.25)
-
-    def test_normalization_rejects_zero_polarization(self, default_grid):
+    def test_mperp_cannot_be_passed_in(self, default_grid):
         n = default_grid.n_points
-        trace = FidTrace.from_components(
-            default_grid, np.ones(n), np.zeros(n),
-            n_realizations=1, seed=0, polarization=0.0,
-        )
-        with pytest.raises(ValueError):
-            trace.mperp_normalized
+        mx, my, mperp = np.ones(n), np.zeros(n), np.full(n, 3.0)
+        with pytest.raises(TypeError):
+            FidTrace(default_grid, mx, my, mperp, n_realizations=1, seed=0)
+        with pytest.raises(TypeError):
+            FidTrace(default_grid, mx, my, mperp=mperp, n_realizations=1, seed=0)
+        # The metadata is keyword-only, so an old positional call cannot shift it into place.
+        with pytest.raises(TypeError):
+            FidTrace(default_grid, mx, my, 1, 0)
 
     def test_caller_arrays_stay_writeable_and_detached(self, default_grid):
         n = default_grid.n_points
-        mx, my, mperp = np.ones(n), np.zeros(n), np.ones(n)
-        trace = FidTrace(default_grid, mx, my, mperp, n_realizations=1, seed=0)
-        for theirs, ours in ((mx, trace.mx), (my, trace.my), (mperp, trace.mperp)):
+        mx, my = np.ones(n), np.zeros(n)
+        trace = FidTrace(default_grid, mx, my, n_realizations=1, seed=0)
+        for theirs, ours in ((mx, trace.mx), (my, trace.my)):
             assert theirs.flags.writeable
             assert not ours.flags.writeable
             theirs[0] = 7.0
             assert ours[0] != 7.0
+        assert trace.mperp[0] == 1.0
 
     def test_from_components(self, default_grid):
         t = default_grid.points
         mx = 0.5 * np.cos(TWO_PI * 100.0 * t)
         my = 0.5 * np.sin(TWO_PI * 100.0 * t)
-        trace = FidTrace.from_components(default_grid, mx, my, n_realizations=1, seed=0)
+        # The benchmark's checks pass the metadata positionally.
+        trace = FidTrace.from_components(default_grid, mx, my, 3, 5, -0.5)
+        assert (trace.n_realizations, trace.seed, trace.polarization) == (3, 5, -0.5)
         assert np.allclose(trace.mperp, 0.5)
 
 
 class TestResidualRatio:
     def synthetic(self, grid: TimeGrid, amplitude: np.ndarray) -> FidTrace:
-        return FidTrace.from_components(
-            grid, amplitude, np.zeros_like(amplitude), n_realizations=1, seed=0
-        )
+        return FidTrace(grid, amplitude, np.zeros_like(amplitude), n_realizations=1, seed=0)
 
     def test_identical_traces_give_zero(self, default_grid):
         a = self.synthetic(default_grid, np.exp(-100.0 * default_grid.points))
@@ -825,10 +819,15 @@ def preset_columns_at_level(directory, disabled: tuple[str, ...]) -> dict[tuple[
         capture_output=True, text=True, cwd=directory, env=env, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    return preset_columns(directory)
+
+
+def preset_columns(directory) -> dict[tuple[str, str], np.ndarray]:
+    """Every column of every CSV a child wrote into ``directory``, keyed by (file stem, column)."""
     return {
-        (name, column): values
-        for name in SIMD_PRESETS
-        for column, values in load_csv(str(directory / f"{name}.csv")).columns.items()
+        (path.stem, column): values
+        for path in sorted(directory.glob("*.csv"))
+        for column, values in load_csv(str(path)).columns.items()
     }
 
 
@@ -850,3 +849,73 @@ class TestSimdLevels:
         assert lowered.keys() == native.keys()
         for key, values in native.items():
             np.testing.assert_allclose(lowered[key], values, rtol=0.0, atol=1e-15, err_msg=str(key))
+
+
+# A child writes these presets into its working directory and prints the name
+# of the OpenBLAS core it ran on, or nothing where numpy loaded no OpenBLAS.
+# OPENBLAS_CORETYPE names the kernel set an OpenBLAS built with DYNAMIC_ARCH
+# uses in place of the one it detects.
+BLAS_PRESETS = ("fig4a", "fig4b")
+BLAS_CHILD = f"""\
+import ctypes, sys
+from spinfid import run_preset
+for name in {BLAS_PRESETS!r}:
+    run_preset(name, n_realizations=2000, output=name + ".csv")
+core = ""
+if sys.platform.startswith("linux"):
+    with open("/proc/self/maps") as maps:
+        paths = sorted({{line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]}})
+    for lib in map(ctypes.CDLL, paths):
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(lib, symbol):
+                getter = getattr(lib, symbol)
+                getter.restype = ctypes.c_char_p
+                core = getter().decode()
+print(core)
+"""
+
+# Each forced core type, with the numpy CPU feature its kernels need.
+BLAS_CORE_TYPES = {"Haswell": "AVX2", "SandyBridge": "AVX", "Prescott": "SSE3"}
+BLAS_DATA_COLUMNS = ("mx", "my", "mperp", "r_numeric")
+
+
+def preset_columns_at_core(directory, core_type: str | None) -> tuple[str, dict[tuple[str, str], np.ndarray]]:
+    env = subprocess_env()
+    env.pop("OPENBLAS_CORETYPE", None)
+    if core_type:
+        env["OPENBLAS_CORETYPE"] = core_type
+    result = subprocess.run(
+        [sys.executable, "-c", BLAS_CHILD], capture_output=True, text=True, cwd=directory, env=env, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    columns = {key: values for key, values in preset_columns(directory).items() if key[1] in BLAS_DATA_COLUMNS}
+    return result.stdout.strip(), columns
+
+
+class TestBlasKernels:
+    """The exchange presets' D(t) goes through LAPACK eigh and BLAS products, so the kernel set moves
+    their last bits; across OpenBLAS core types their data columns agree to 1e-14."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        cores = [core for core, feature in BLAS_CORE_TYPES.items() if numpy_umath.__cpu_features__.get(feature)]
+        return {
+            core: preset_columns_at_core(tmp_path_factory.mktemp(core or "detected"), core)
+            for core in [None, *cores]
+        }
+
+    def test_each_core_type_takes_effect(self, runs):
+        if not runs[None][0]:
+            pytest.skip("numpy did not load OpenBLAS")
+        forced = [name for core, (name, _) in runs.items() if core]
+        assert len(set(forced)) == len(forced), forced
+
+    @pytest.mark.parametrize("core_type", BLAS_CORE_TYPES)
+    def test_data_columns_agree_across_core_types(self, runs, core_type):
+        if core_type not in runs:
+            pytest.skip(f"this CPU lacks {BLAS_CORE_TYPES[core_type]}, which {core_type} kernels need")
+        native, forced = runs[None][1], runs[core_type][1]
+        assert forced.keys() == native.keys()
+        assert {column for _, column in native} == set(BLAS_DATA_COLUMNS)
+        for key, values in native.items():
+            np.testing.assert_allclose(forced[key], values, rtol=0.0, atol=1e-14, err_msg=f"{core_type} {key}")
