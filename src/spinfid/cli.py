@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, parse_config_file
+from .config import ConfigError, parse_config_file
 from .csvio import write_csv
 from .experiments import (
     PRESET_NAMES,
@@ -96,14 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.output is not None:
-        config = replace(config, output=args.output)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.n_realizations is not None:
-        config = replace(config, n_realizations=args.n_realizations)
-    return config
+def _overrides(args: argparse.Namespace) -> dict[str, object]:
+    """The --seed, --n-realizations and --output values given: RunConfig fields and run_preset keywords alike."""
+    given = {key: getattr(args, key) for key in ("seed", "n_realizations", "output")}
+    return {key: value for key, value in given.items() if value is not None}
 
 
 def _describe(trace) -> str:
@@ -115,7 +111,7 @@ def _describe(trace) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _apply_overrides(parse_config_file(args.config), args)
+    config = replace(parse_config_file(args.config), **_overrides(args))
     result = run_experiment(config)
     print(f"simulated: {_describe(result.trace)}")
     if config.output is not None:
@@ -136,9 +132,7 @@ def _cmd_preset(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.name is None:
         raise ConfigError("preset: a name is required unless --list is given")
-    given = {key: getattr(args, key) for key in ("seed", "n_realizations", "output")}
-    overrides = {key: value for key, value in given.items() if value is not None}
-    result = run_preset(args.name, **overrides)
+    result = run_preset(args.name, **_overrides(args))
     if result.table is not None:
         _print_table(result.table)
     for path in result.paths:
@@ -161,11 +155,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         base = parse_config_file(args.config)
     else:
         base = preset_config(args.preset)
-    base = replace(_apply_overrides(base, args), output=None)
+    base = replace(base, **{**_overrides(args), "output": None})
     values = _parse_values(args.values)
     table = sweep_residuals(base, values, param=args.param)
     out = args.output if args.output is not None else f"sweep_{args.param}.csv"
-    write_csv(out, list(table), list(table.values()), metadata=table_metadata(base))
+    write_csv(out, table, metadata=table_metadata(base))
     _print_table(table)
     print(f"wrote {out}")
     return EXIT_OK

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -63,7 +63,7 @@ def _time_cells(grid: TimeGrid) -> tuple[str, ...]:
     return tuple(_cells(grid.points))
 
 
-def _write_rows(path: str, header: Sequence[str], cells: list, metadata: Mapping[str, object] | None) -> None:
+def _write_rows(path: str, header: Iterable[str], cells: list, metadata: Mapping[str, object] | None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
         handle.writelines(",".join(row) + "\n" for row in zip(*cells))
@@ -71,20 +71,16 @@ def _write_rows(path: str, header: Sequence[str], cells: list, metadata: Mapping
             handle.write(f"# {key} = {_format_value(value)}\n")
 
 
-def write_csv(
-    path: str,
-    header: Sequence[str],
-    columns: Sequence[np.ndarray],
-    metadata: Mapping[str, object] | None = None,
-) -> None:
-    """Write named columns plus trailing metadata comments."""
-    if len(header) != len(columns):
-        raise ValueError(f"{len(header)} header names but {len(columns)} columns")
-    arrays = [np.asarray(column) for column in columns]
+def write_csv(path: str, columns: Mapping[str, np.ndarray], metadata: Mapping[str, object] | None = None) -> None:
+    """Write named columns plus trailing metadata comments.
+
+    The header is the mapping's keys in order: the shape ``load_csv(path).columns`` returns.
+    """
+    arrays = [np.asarray(column) for column in columns.values()]
     lengths = {array.shape for array in arrays}
     if len(lengths) > 1 or (arrays and arrays[0].ndim != 1):
         raise ValueError(f"columns must be 1-d and equally long, got shapes {sorted(lengths)}")
-    _write_rows(path, header, [_cells(array) for array in arrays], metadata)
+    _write_rows(path, columns, [_cells(array) for array in arrays], metadata)
 
 
 def emit_trace_csv(
@@ -111,7 +107,7 @@ def emit_trace_csv(
     _write_rows(path, header, [_time_cells(trace.grid), *map(_cells, columns)], {**merged, **(metadata or {})})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TableData:
     """Parsed CSV: named columns, metadata, source path, and optional trace rebuild."""
 

@@ -203,14 +203,14 @@ class ObservableSpec:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FidTrace:
     """Ensemble-averaged FID on a time grid.
 
     mperp is always the modulus of the averaged components: it is derived
-    as hypot(mx, my) and cannot be passed in.  The deviation amplitude of
-    the initial state is carried along so traces can be reported per unit
-    polarization.
+    as hypot(mx, my) and cannot be passed in.  ``polarization``, the
+    deviation amplitude of the initial state, feeds the CSV trailer's
+    ``# polarization`` line.
     """
 
     grid: TimeGrid

@@ -80,7 +80,7 @@ class NumericInvariantError(RuntimeError):
     """A simulation produced values that violate a required invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
     """One finished run: its configuration, trace and oracle columns."""
 
@@ -89,7 +89,7 @@ class ExperimentResult:
     oracles: dict[str, np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PresetResult:
     """Files a named preset wrote, and its table when it produced one."""
 
@@ -110,6 +110,8 @@ def build_initial_state(config: RunConfig) -> DensityMatrix:
 def matching_oracles(config: RunConfig) -> dict[str, np.ndarray]:
     """Closed-form magnitude columns that apply to this configuration.
 
+    This is the only source of closed-form columns: fig1's noise-family
+    envelopes and fig3's theory-only curves are read from it too.
     The analytic models describe a pi/2 y-pulse on one spin, read out
     either on that same spin alone or through the total transverse
     magnetization (identical whenever the other spins stay longitudinal,
@@ -229,14 +231,9 @@ def run_preset(
 
     if name == "fig3":
         # Theory only: the envelopes of the fig2-thermal and fig2-pps runs.
-        t = base.grid.points
-        thermal = preset_config("fig2-thermal")
-        columns = {
-            "oracle_thermal_mperp": fid_thermal(thermal.system, thermal.noise, t, observed=thermal.pulse.target)[2],
-            "oracle_pps_mperp": fid_pps(base.system, base.noise, t, label=base.label, observed=base.pulse.target)[2],
-        }
-        metadata = {**table_metadata(base), "seed": 0, "n_realizations": 0}
-        write_csv(stem, ["t_s", *columns], [t, *columns.values()], metadata=metadata)
+        oracles = {**matching_oracles(preset_config("fig2-thermal")), **matching_oracles(base)}
+        columns = {"t_s": base.grid.points, **{f"oracle_{model}_mperp": values for model, values in oracles.items()}}
+        write_csv(stem, columns, metadata={**table_metadata(base), "seed": 0, "n_realizations": 0})
         return PresetResult(name=name, paths=(stem,))
 
     if name == "fig4a":
@@ -255,15 +252,14 @@ def run_preset(
 
     if name == "fig4b":
         table = sweep_residuals(base, np.arange(1.0, 6.0), param="m")
-        write_csv(stem, list(table), list(table.values()), metadata=table_metadata(base))
+        write_csv(stem, table, metadata=table_metadata(base))
         return PresetResult(name=name, paths=(stem,), table=table)
 
     # fig1 and fig2-*: one trace; fig1 carries the envelope of every noise family.
     envelopes = None
     if name == "fig1":
-        t = base.grid.points
         envelopes = {
-            kind: fid_single(replace(base.noise, kind=kind), base.system.polarization, t)[2]
+            kind: matching_oracles(replace(base, noise=replace(base.noise, kind=kind)))["single"]
             for kind in NOISE_KINDS
         }
     run_experiment(base, oracles=envelopes)

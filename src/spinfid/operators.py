@@ -98,7 +98,7 @@ def spin_operators(n_spins: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Propagator:
     """Unitary time-evolution operator exp(-i H t)."""
 
@@ -128,7 +128,7 @@ def expm_hermitian(h: np.ndarray, t: float) -> Propagator:
     return Propagator(matrix=u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """State of the spin register: Hermitian, unit trace.
 

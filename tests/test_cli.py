@@ -11,7 +11,7 @@ import pytest
 
 from conftest import subprocess_env
 
-from spinfid.analytic import residual_ratio_analytic
+from spinfid.analytic import fid_pps, fid_single, fid_thermal, residual_ratio_analytic
 from spinfid.csvio import load_csv
 from spinfid.experiments import preset_config
 
@@ -94,6 +94,27 @@ class TestPreset:
         assert data.columns["oracle_thermal_mperp"][0] == 0.5
         assert data.columns["oracle_pps_mperp"][0] == 0.5
         assert "config_hash" in data.metadata
+        # bit for bit the closed forms of the fig2-thermal and fig2-pps configurations
+        thermal, pps = preset_config("fig2-thermal"), preset_config("fig3")
+        t = pps.grid.points
+        expected = {
+            "oracle_thermal_mperp": fid_thermal(thermal.system, thermal.noise, t, observed=thermal.pulse.target)[2],
+            "oracle_pps_mperp": fid_pps(pps.system, pps.noise, t, label=pps.label, observed=pps.pulse.target)[2],
+        }
+        assert list(data.columns) == ["t_s", *expected]
+        for name, values in expected.items():
+            assert data.columns[name].tobytes() == values.tobytes()
+
+    def test_fig1_envelopes_are_the_closed_form_of_each_noise_family(self, tmp_path):
+        out = tmp_path / "fig1.csv"
+        result = run_cli("preset", "fig1", "--n-realizations", "50", "--output", str(out), cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        oracles = load_csv(str(out)).oracles
+        base = preset_config("fig1")
+        assert list(oracles) == ["white", "gaussian", "lorentzian"]
+        for kind, values in oracles.items():
+            expected = fid_single(replace(base.noise, kind=kind), base.system.polarization, base.grid.points)[2]
+            assert values.tobytes() == expected.tobytes()
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -332,6 +353,18 @@ class TestSweep:
         assert from_preset.returncode == from_sweep.returncode == 0
         assert preset.read_bytes() == sweep.read_bytes()
         assert from_preset.stdout.replace(str(preset), "") == from_sweep.stdout.replace(str(sweep), "")
+
+    def test_flags_override_the_config_and_the_table_replaces_its_trace_output(self, tmp_path):
+        (tmp_path / "base.ini").write_text(SMALL_INI + "[run]\noutput = trace.csv\n")
+        result = run_cli(
+            "sweep", "--config", "base.ini", "--param", "m", "--values", "1,2",
+            "--seed", "9", "--n-realizations", "50", "--output", "table.csv", cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["base.ini", "table.csv"]
+        trailer = (tmp_path / "table.csv").read_text().splitlines()
+        assert "# seed = 9" in trailer
+        assert "# n_realizations = 50" in trailer
 
     def test_bad_values_rejected(self, tmp_path):
         result = run_cli(

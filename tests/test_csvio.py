@@ -10,7 +10,7 @@ import pytest
 from spinfid import FidTrace, NoiseModel, TimeGrid, evolve_fid
 import spinfid.csvio
 from spinfid.csvio import CsvFormatError, _format_value, emit_trace_csv, load_csv, write_csv
-from spinfid.experiments import run_preset
+from spinfid.experiments import PRESET_NAMES, run_preset
 from spinfid.states import apply_pulse, pps_state
 from spinfid import PulseSpec, SpinSystemSpec
 
@@ -102,7 +102,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("metadata", [{}, {"note": "no rows"}], ids=["bare", "with-metadata"])
     def test_header_only_file_loads_empty_float_columns(self, tmp_path, metadata):
         path = tmp_path / "empty_table.csv"
-        write_csv(str(path), ["m", "residual"], [np.empty(0), np.empty(0)], metadata=metadata)
+        write_csv(str(path), {"m": np.empty(0), "residual": np.empty(0)}, metadata=metadata)
         data = load_csv(str(path))
         assert list(data.columns) == ["m", "residual"]
         for column in data.columns.values():
@@ -113,21 +113,37 @@ class TestRoundTrip:
         path = tmp_path / "table.csv"
         m = np.array([1.0, 2.0, 5.0])
         r = np.array([0.02, 0.04, 0.09])
-        write_csv(str(path), ["m", "residual"], [m, r], metadata={"note": "sweep"})
+        write_csv(str(path), {"m": m, "residual": r}, metadata={"note": "sweep"})
         data = load_csv(str(path))
         assert np.array_equal(data.columns["m"], m)
         assert np.array_equal(data.columns["residual"], r)
         assert data.metadata["note"] == "sweep"
 
 
-def cell_by_cell_bytes(header, columns, metadata) -> bytes:
+def cell_by_cell_bytes(columns, metadata) -> bytes:
     """The file a per-cell ``_format_value`` loop writes: the writer's reference."""
-    lines = [",".join(header)]
-    arrays = [np.asarray(column) for column in columns]
+    lines = [",".join(columns)]
+    arrays = [np.asarray(column) for column in columns.values()]
     for row in range(arrays[0].shape[0]):
         lines.append(",".join(_format_value(array[row]) for array in arrays))
     lines += [f"# {key} = {_format_value(value)}" for key, value in metadata.items()]
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# Every file the presets write: fig4a writes one per magnification.
+PRESET_FILES = (
+    "fig1", "fig2-thermal", "fig2-pps", "fig2-pps-x10", "fig3", "fig4a_m1", "fig4a_m2p5", "fig4a_m5", "fig4b",
+)
+
+
+@pytest.fixture(scope="module")
+def preset_dir(tmp_path_factory):
+    """A directory holding every preset's CSV files, each run at 500 draws."""
+    directory = tmp_path_factory.mktemp("presets")
+    for name in PRESET_NAMES:
+        run_preset(name, n_realizations=500, seed=7, output=str(directory / f"{name}.csv"))
+    assert sorted(path.stem for path in directory.iterdir()) == sorted(PRESET_FILES)
+    return directory
 
 
 class TestWriterBytes:
@@ -137,24 +153,26 @@ class TestWriterBytes:
             1e-300, -1e-300, 1e300, -1e300, np.inf, -np.inf, 0.1, 1.0 / 3.0, -2.5,
         ])
         n = floats.size
-        header = ["x", "m", "big", "flag"]
-        columns = [
-            floats,
-            np.arange(n) - 7,
-            np.full(n, 2**62, dtype=np.int64),
-            np.arange(n) % 3 == 0,
-        ]
+        columns = {
+            "x": floats,
+            "m": np.arange(n) - 7,
+            "big": np.full(n, 2**62, dtype=np.int64),
+            "flag": np.arange(n) % 3 == 0,
+        }
         metadata = {"seed": 7, "weight": -0.0, "tiny": 5e-324, "ok": True, "note": "text"}
         path = tmp_path / "special.csv"
-        write_csv(str(path), header, columns, metadata)
-        assert path.read_bytes() == cell_by_cell_bytes(header, columns, metadata)
+        write_csv(str(path), columns, metadata)
+        assert path.read_bytes() == cell_by_cell_bytes(columns, metadata)
 
-    def test_preset_file(self, tmp_path):
-        path = tmp_path / "fig2-pps.csv"
-        run_preset("fig2-pps", n_realizations=500, seed=7, output=str(path))
+    @pytest.mark.parametrize("stem", PRESET_FILES)
+    def test_preset_file(self, preset_dir, tmp_path, stem):
+        path = preset_dir / f"{stem}.csv"
         table = load_csv(str(path))
-        expected = cell_by_cell_bytes(list(table.columns), list(table.columns.values()), table.metadata)
-        assert path.read_bytes() == expected
+        assert path.read_bytes() == cell_by_cell_bytes(table.columns, table.metadata)
+        # The loaded mapping is the writer's input: writing it back reproduces the file.
+        out = tmp_path / "rewritten.csv"
+        write_csv(str(out), table.columns, table.metadata)
+        assert out.read_bytes() == path.read_bytes()
 
 
 def random_trace(grid: TimeGrid, seed: int) -> FidTrace:
@@ -193,13 +211,9 @@ class TestTimeColumnText:
 
 
 class TestWriterValidation:
-    def test_header_column_count_mismatch(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv(str(tmp_path / "x.csv"), ["a", "b"], [np.zeros(3)])
-
     def test_ragged_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_csv(str(tmp_path / "x.csv"), ["a", "b"], [np.zeros(3), np.zeros(4)])
+            write_csv(str(tmp_path / "x.csv"), {"a": np.zeros(3), "b": np.zeros(4)})
 
     def test_oracle_shape_mismatch(self, sample_trace, tmp_path):
         with pytest.raises(ValueError):

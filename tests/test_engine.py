@@ -42,7 +42,7 @@ from spinfid import (
     thermal_state,
     zero_noise_signal,
 )
-from spinfid.csvio import load_csv
+from spinfid.csvio import TableData, load_csv
 
 try:
     from numpy._core import _multiarray_umath as numpy_umath
@@ -713,6 +713,32 @@ class TestFidTrace:
         trace = FidTrace.from_components(default_grid, mx, my, 3, 5, -0.5)
         assert (trace.n_realizations, trace.seed, trace.polarization) == (3, 5, -0.5)
         assert np.allclose(trace.mperp, 0.5)
+
+
+def _unit_trace() -> FidTrace:
+    grid = TimeGrid()
+    return FidTrace(grid, np.ones(grid.n_points), np.zeros(grid.n_points), n_realizations=1, seed=0)
+
+
+# Each value object that holds arrays, built so that two calls give equal content.
+ARRAY_VALUE_OBJECTS = {
+    "FidTrace": _unit_trace,
+    "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2.0),
+    "Propagator": lambda: spinfid.operators.Propagator(np.eye(2)),
+    "ExperimentResult": lambda: spinfid.experiments.ExperimentResult(
+        preset_config("fig1"), _unit_trace(), {"single": np.ones(481)}
+    ),
+    "PresetResult": lambda: spinfid.experiments.PresetResult("fig4b", ("fig4b.csv",), {"m": np.arange(1.0, 6.0)}),
+    "TableData": lambda: TableData({"m": np.arange(1.0, 6.0)}),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_VALUE_OBJECTS.values(), ids=ARRAY_VALUE_OBJECTS.keys())
+def test_array_value_objects_compare_by_identity(build):
+    a, b = build(), build()
+    assert a != b
+    assert a == a
+    assert len({a, b}) == 2
 
 
 class TestResidualRatio:
