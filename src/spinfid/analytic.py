@@ -273,6 +273,14 @@ def trapezoid_weights(t: np.ndarray) -> np.ndarray:
     return w
 
 
+def _relative_residual(a: np.ndarray, a_0: np.ndarray, weights: np.ndarray) -> float:
+    """The one formula behind both public residual ratios: integral w |a - a_0| / integral w a_0."""
+    denominator = float(np.sum(weights * a_0))
+    if denominator <= 0.0:
+        raise ValueError("baseline modulus integrates to zero")
+    return float(np.sum(weights * np.abs(a - a_0)) / denominator)
+
+
 def residual_ratio_analytic(
     spec: SpinSystemSpec, model: NoiseModel, t: np.ndarray
 ) -> float:
@@ -285,10 +293,5 @@ def residual_ratio_analytic(
     too, up to second-order corrections.
     """
     t = np.asarray(t, dtype=float)
-    w = trapezoid_weights(t)
     a_0 = 0.5 * abs(spec.polarization) * np.abs(model.avg_cos(t))
-    a_m = fid_perturbative(spec, model, t)[2]
-    denominator = float(np.sum(w * a_0))
-    if denominator <= 0.0:
-        raise ValueError("baseline envelope integrates to zero on this grid")
-    return float(np.sum(w * np.abs(a_m - a_0)) / denominator)
+    return _relative_residual(fid_perturbative(spec, model, t)[2], a_0, trapezoid_weights(t))

@@ -85,7 +85,7 @@ from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
-from .analytic import trapezoid_weights
+from .analytic import _relative_residual, trapezoid_weights
 from .hamiltonians import SpinSystemSpec, build_effective, build_rotating_heisenberg
 from .noise import NoiseModel
 from .operators import DensityMatrix, spin_operators
@@ -310,7 +310,7 @@ def _phase_sum(noise: NoiseModel, grid: TimeGrid, n_realizations: int, seed: int
             f"bincount entries and histogram cells and a {terms} x {m} histogram, over the "
             f"work limit of {_MAX_WORK_CELLS} cells or {_MAX_HISTOGRAM_CELLS} histogram cells"
         )
-    bins_per_rad = m / (2.0 * math.pi)
+    bins_per_rad = m / math.tau
     # Row p of the histogram sums f_r^p over the draws in each bin.
     hist = np.zeros((terms, m))
     for lo, hi in _chunk_bounds(n_realizations):
@@ -414,9 +414,4 @@ def residual_ratio(trace: FidTrace, baseline: FidTrace) -> float:
     """
     if trace.grid != baseline.grid:
         raise ValueError("traces live on different grids")
-    t = trace.grid.points
-    w = trapezoid_weights(t)
-    denominator = float(np.sum(w * baseline.mperp))
-    if denominator <= 0.0:
-        raise ValueError("baseline modulus integrates to zero")
-    return float(np.sum(w * np.abs(trace.mperp - baseline.mperp)) / denominator)
+    return _relative_residual(trace.mperp, baseline.mperp, trapezoid_weights(trace.grid.points))

@@ -33,7 +33,7 @@ from .analytic import (
     residual_ratio_analytic,
 )
 from .config import RunConfig, config_hash, parse_config
-from .csvio import emit_trace_csv, write_csv
+from .csvio import ORACLE_PREFIX, ORACLE_SUFFIX, emit_trace_csv, write_csv
 from .engine import DEFAULT_SEED, FidTrace, _resolve_workers, evolve_fid, residual_ratio
 from .noise import NOISE_KINDS
 from .operators import DensityMatrix
@@ -232,7 +232,7 @@ def run_preset(
     if name == "fig3":
         # Theory only: the envelopes of the fig2-thermal and fig2-pps runs.
         oracles = {**matching_oracles(preset_config("fig2-thermal")), **matching_oracles(base)}
-        columns = {"t_s": base.grid.points, **{f"oracle_{model}_mperp": values for model, values in oracles.items()}}
+        columns = {"t_s": base.grid.points, **{ORACLE_PREFIX + name + ORACLE_SUFFIX: v for name, v in oracles.items()}}
         write_csv(stem, columns, metadata={**table_metadata(base), "seed": 0, "n_realizations": 0})
         return PresetResult(name=name, paths=(stem,))
 

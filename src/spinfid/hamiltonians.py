@@ -39,7 +39,7 @@ from .operators import MAX_SPINS, spin_operators
 
 __all__ = ["SpinSystemSpec", "build_lab", "build_effective", "build_rotating_heisenberg"]
 
-TWO_PI = 2.0 * math.pi
+TWO_PI = math.tau
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ _Q2 = (
     2.89247864745380683936e-6, 6.79019408009981274425e-9,
 )
 
-TWO_PI = 2.0 * math.pi
+TWO_PI = math.tau
 
 
 def _polevl(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:

@@ -10,8 +10,8 @@ Conventions used throughout the package:
   significant bit, and |0> is the sigma_z eigenstate with eigenvalue +1.
 
 Matrix exponentials of Hermitian generators are evaluated through an
-eigendecomposition, which keeps the resulting propagators unitary to
-machine precision for the 8x8 problems this package targets.
+eigendecomposition, which keeps each exp(-i H t) unitary to machine
+precision for the 8x8 problems this package targets.
 
 ``spin_operators(n)`` builds every site's I_x, I_y, I_z once per register
 size.  Every Hamiltonian, readout and thermal state shares that table, so
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["MAX_SPINS", "pauli", "embed", "spin_operators", "expm_hermitian", "Propagator", "DensityMatrix"]
+__all__ = ["MAX_SPINS", "pauli", "embed", "spin_operators", "expm_hermitian", "DensityMatrix"]
 
 HERMITICITY_TOL = 1e-10
 
@@ -98,34 +98,14 @@ def spin_operators(n_spins: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True, eq=False)
-class Propagator:
-    """Unitary time-evolution operator exp(-i H t)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        require_square(self.matrix)
-        m = np.array(self.matrix, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def unitarity_defect(self) -> float:
-        dim = self.matrix.shape[0]
-        return float(np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(dim))))
-
-    def evolve(self, rho: "DensityMatrix") -> "DensityMatrix":
-        """Schroedinger-picture map rho -> U rho U^dagger."""
-        return DensityMatrix(self.matrix @ rho.matrix @ self.matrix.conj().T)
-
-
-def expm_hermitian(h: np.ndarray, t: float) -> Propagator:
-    """Exact unitary exp(-i h t) for Hermitian ``h`` via eigendecomposition."""
+def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
+    """Exact unitary exp(-i h t) for Hermitian ``h`` via eigendecomposition; the returned array is read-only."""
     require_square(h)
     require_hermitian(h)
     vals, vecs = np.linalg.eigh(h)
     u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-    return Propagator(matrix=u)
+    u.setflags(write=False)
+    return u
 
 
 @dataclass(frozen=True, eq=False)

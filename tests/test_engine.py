@@ -36,6 +36,7 @@ from spinfid import (
     pps_state,
     preset_config,
     residual_ratio,
+    residual_ratio_analytic,
     run_experiment,
     run_preset,
     sweep_residuals,
@@ -210,7 +211,7 @@ class TestPerDrawExactness:
         my = np.empty(grid.n_points)
         for k in range(grid.n_points):
             if k:
-                rho = u.evolve(rho)
+                rho = DensityMatrix(u @ rho.matrix @ u.conj().T)
             s = np.trace(rho.matrix @ ladder)
             mx[k], my[k] = s.real, s.imag
         assert np.max(np.abs(trace.mx - mx)) < 1e-12
@@ -244,7 +245,7 @@ class TestPerDrawExactness:
             rho = initial
             for k in range(grid.n_points):
                 if k:
-                    rho = u.evolve(rho)
+                    rho = DensityMatrix(u @ rho.matrix @ u.conj().T)
                 want[k] += np.trace(rho.matrix @ ladder)
         want /= n
         assert np.max(np.abs(trace.mx - want.real)) < 1e-11
@@ -293,7 +294,7 @@ class TestConservation:
         values = []
         for _ in range(20):
             values.append(rho.expect(z_total))
-            rho = u.evolve(rho)
+            rho = DensityMatrix(u @ rho.matrix @ u.conj().T)
         assert np.max(np.abs(np.array(values) - values[0])) < 1e-10
 
 
@@ -724,7 +725,6 @@ def _unit_trace() -> FidTrace:
 ARRAY_VALUE_OBJECTS = {
     "FidTrace": _unit_trace,
     "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2.0),
-    "Propagator": lambda: spinfid.operators.Propagator(np.eye(2)),
     "ExperimentResult": lambda: spinfid.experiments.ExperimentResult(
         preset_config("fig1"), _unit_trace(), {"single": np.ones(481)}
     ),
@@ -767,6 +767,20 @@ class TestResidualRatio:
         one = self.synthetic(default_grid, np.ones(default_grid.n_points))
         with pytest.raises(ValueError):
             residual_ratio(one, zero)
+
+    def test_both_ratios_refuse_a_zero_baseline_with_one_message(self, default_grid):
+        zero = self.synthetic(default_grid, np.zeros(default_grid.n_points))
+        one = self.synthetic(default_grid, np.ones(default_grid.n_points))
+        unpolarized = SpinSystemSpec(polarization=0.0)  # its coupling-free modulus a_0 is zero
+        messages = []
+        for refuse in (
+            lambda: residual_ratio(one, zero),
+            lambda: residual_ratio_analytic(unpolarized, NoiseModel("lorentzian", 28.0), default_grid.points),
+        ):
+            with pytest.raises(ValueError) as refused:
+                refuse()
+            messages.append(str(refused.value))
+        assert messages == ["baseline modulus integrates to zero"] * 2
 
 
 class TestArgumentValidation:

@@ -1,14 +1,17 @@
 """Every exported name resolves, so a deletion cannot leave a dangling export.
 
 The package republishes each library module's ``__all__`` by wildcard
-import, so the composed list must stay free of clashes.
+import, so the composed list must stay free of clashes.  Every module
+also uses each name it imports.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +43,22 @@ def test_package_exports_are_unique():
 
 def test_cli_entry_points_are_not_package_exports():
     assert {"main", "build_parser"}.isdisjoint(spinfid.__all__)
+
+
+@pytest.mark.parametrize("name", MODULES[1:])
+def test_every_imported_name_is_used(name):
+    """A deletion must not leave its import behind.
+
+    The benchmark tracer wraps names in the module that calls them, so a
+    dead import would also keep such a pin resolving after the call it
+    times is gone.  ``__init__`` is exempt: its imports are re-exports.
+    """
+    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -1,4 +1,4 @@
-"""Pauli algebra, operator embedding, propagators, and density-matrix basics."""
+"""Pauli algebra, operator embedding, matrix exponentials, and density-matrix basics."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from spinfid import (
     MAX_SPINS,
     DensityMatrix,
     ObservableSpec,
-    Propagator,
     PulseSpec,
     SpinSystemSpec,
     build_effective,
@@ -174,11 +173,25 @@ class TestSpinOperators:
         assert got.tobytes() == want.tobytes()
 
 
-class TestPropagator:
+def unitarity_defect(u: np.ndarray) -> float:
+    return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+
+
+def evolve(u: np.ndarray, rho: DensityMatrix) -> DensityMatrix:
+    return DensityMatrix(u @ rho.matrix @ u.conj().T)
+
+
+class TestExpmHermitian:
     def test_unitarity(self):
         h = random_hermitian(8, RNG)
         u = expm_hermitian(h, 0.37)
-        assert u.unitarity_defect() < 1e-12
+        assert unitarity_defect(u) < 1e-12
+
+    def test_returns_a_read_only_array(self):
+        u = expm_hermitian(0.5 * pauli("z"), 0.37)
+        assert type(u) is np.ndarray and u.shape == (2, 2)
+        with pytest.raises(ValueError):
+            u[0, 0] = 1.0
 
     def test_matches_series_expansion(self):
         h = random_hermitian(4, RNG)
@@ -186,7 +199,7 @@ class TestPropagator:
         u = expm_hermitian(h, dt)
         probs = np.array([0.4, 0.3, 0.2, 0.1])
         rho = DensityMatrix(np.diag(probs).astype(complex))
-        evolved = u.evolve(rho).matrix
+        evolved = evolve(u, rho).matrix
         # first-order comparison: U rho U† = rho - i dt [H, rho] + O(dt^2)
         expected = rho.matrix - 1j * dt * (h @ rho.matrix - rho.matrix @ h)
         assert np.max(np.abs(evolved - expected)) < 1e-10
@@ -198,20 +211,20 @@ class TestPropagator:
         h = w * 0.5 * pauli("z")
         plus = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
         t = 1.3e-3
-        rho_t = expm_hermitian(h, t).evolve(plus)
+        rho_t = evolve(expm_hermitian(h, t), plus)
         s = rho_t.expect(0.5 * pauli("x")) + 1j * rho_t.expect(0.5 * pauli("y"))
         assert np.abs(s - 0.5 * np.exp(1j * w * t)) < 1e-12
 
     def test_zero_hamiltonian_is_identity(self):
         u = expm_hermitian(np.zeros((4, 4)), 5.0)
         rho = DensityMatrix(np.eye(4, dtype=complex) / 4.0)
-        assert np.allclose(u.evolve(rho).matrix, rho.matrix)
+        assert np.allclose(evolve(u, rho).matrix, rho.matrix)
 
     @given(duration=st.floats(-2.0, 2.0, allow_nan=False))
     @settings(max_examples=25, deadline=None)
     def test_unitary_for_random_durations(self, duration):
         h = random_hermitian(4, np.random.default_rng(3))
-        assert expm_hermitian(h, duration).unitarity_defect() < 1e-11
+        assert unitarity_defect(expm_hermitian(h, duration)) < 1e-11
 
 
 class TestDensityMatrix:
