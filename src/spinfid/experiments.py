@@ -93,7 +93,6 @@ class ExperimentResult:
 class PresetResult:
     """Files a named preset wrote, and its table when it produced one."""
 
-    name: str
     paths: tuple[str, ...]
     table: Mapping[str, np.ndarray] | None = None
 
@@ -215,7 +214,7 @@ def table_metadata(base: RunConfig) -> dict[str, object]:
 
 
 def _magnification_tag(value: float) -> str:
-    return "m" + format(value, "g").replace(".", "p").replace("-", "neg")
+    return "m" + format(value, "g").replace(".", "p")
 
 
 def run_preset(
@@ -230,11 +229,12 @@ def run_preset(
     base = preset_config(name, seed=seed, n_realizations=n_realizations, output=stem)
 
     if name == "fig3":
-        # Theory only: the envelopes of the fig2-thermal and fig2-pps runs.
+        # Theory only: the envelopes of the fig2-thermal and fig2-pps runs.  No draw enters them,
+        # so the hash names the stock config, whatever seed and draw count the run was given.
         oracles = {**matching_oracles(preset_config("fig2-thermal")), **matching_oracles(base)}
         columns = {"t_s": base.grid.points, **{ORACLE_PREFIX + name + ORACLE_SUFFIX: v for name, v in oracles.items()}}
-        write_csv(stem, columns, metadata={**table_metadata(base), "seed": 0, "n_realizations": 0})
-        return PresetResult(name=name, paths=(stem,))
+        write_csv(stem, columns, metadata={**table_metadata(preset_config(name)), "seed": 0, "n_realizations": 0})
+        return PresetResult(paths=(stem,))
 
     if name == "fig4a":
         root = stem[: -len(".csv")] if stem.endswith(".csv") else stem
@@ -248,12 +248,12 @@ def run_preset(
             )
             run_experiment(config)
             paths.append(path)
-        return PresetResult(name=name, paths=tuple(paths))
+        return PresetResult(paths=tuple(paths))
 
     if name == "fig4b":
         table = sweep_residuals(base, np.arange(1.0, 6.0), param="m")
         write_csv(stem, table, metadata=table_metadata(base))
-        return PresetResult(name=name, paths=(stem,), table=table)
+        return PresetResult(paths=(stem,), table=table)
 
     # fig1 and fig2-*: one trace; fig1 carries the envelope of every noise family.
     envelopes = None
@@ -263,7 +263,7 @@ def run_preset(
             for kind in NOISE_KINDS
         }
     run_experiment(base, oracles=envelopes)
-    return PresetResult(name=name, paths=(stem,))
+    return PresetResult(paths=(stem,))
 
 
 SWEEP_PARAMS = ("m", "width")

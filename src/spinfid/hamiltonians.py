@@ -39,8 +39,6 @@ from .operators import MAX_SPINS, spin_operators
 
 __all__ = ["SpinSystemSpec", "build_lab", "build_effective", "build_rotating_heisenberg"]
 
-TWO_PI = math.tau
-
 
 @dataclass(frozen=True)
 class SpinSystemSpec:
@@ -87,7 +85,7 @@ class SpinSystemSpec:
     @property
     def scale(self) -> float:
         """Hz -> rad/s conversion applied when matrices are assembled."""
-        return 1.0 if self.angular_units else TWO_PI
+        return 1.0 if self.angular_units else math.tau
 
     def pairs(self) -> list[tuple[int, int, float]]:
         """Couplings as (i, j, J_ij in Hz) with i < j."""

@@ -22,7 +22,9 @@ Sampling is counter based and therefore a pure function of
 ``(seed, index)``: realization ``index`` owns the Philox block ``index``
 under key ``seed`` and converts the block's first uniform draw through
 the distribution's quantile function.  Results do not depend on batch
-boundaries, call order, or worker count.
+boundaries or call order.  Zero width takes the same quantiles: the
+uniform draw is clamped inside (0, 1), so every quantile is finite, each
+offset is +0 or -0, and ``avg_cos`` is exactly 1.
 
 The Gaussian quantile is ``_ndtri``, a numpy port of the Cephes ``ndtri``
 (S. L. Moshier, Cephes Mathematical Library) with its coefficients and
@@ -93,8 +95,6 @@ _Q2 = (
     2.89247864745380683936e-6, 6.79019408009981274425e-9,
 )
 
-TWO_PI = math.tau
-
 
 def _polevl(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
     """Horner evaluation, highest power first, in one buffer."""
@@ -147,7 +147,7 @@ class NoiseModel:
     @property
     def width_rad(self) -> float:
         """Scale parameter in rad/s."""
-        return self.width if self.angular_units else TWO_PI * self.width
+        return self.width if self.angular_units else math.tau * self.width
 
     def sample_block(self, seed: int, start: int, count: int) -> np.ndarray:
         """Offsets eta_z (rad/s) for realization indices [start, start+count).
@@ -159,11 +159,8 @@ class NoiseModel:
             raise ValueError("seed must be a non-negative integer")
         if start < 0 or count < 0:
             raise ValueError("start and count must be non-negative")
-        if count == 0:
-            return np.empty(0, dtype=float)
         bitgen = np.random.Philox(key=seed)
-        if start:
-            bitgen.advance(start)
+        bitgen.advance(start)
         # Only each block's first word is converted; Generator.random() would convert all four.
         words = bitgen.random_raw(_BLOCK * count)[::_BLOCK]
         return self._quantile((words >> np.uint64(11)) * 2.0**-53)
@@ -172,8 +169,6 @@ class NoiseModel:
         """Offsets eta_z (rad/s) for uniform draws ``raw`` in [0, 1)."""
         u = np.minimum(raw + _OPEN_SHIFT, _TOP)
         w = self.width_rad
-        if w == 0.0:
-            return np.zeros(u.shape, dtype=float)
         if self.kind == "white":
             return w * (2.0 * u - 1.0)
         if self.kind == "gaussian":
@@ -188,8 +183,6 @@ class NoiseModel:
         """Ensemble mean of cos(eta_z t), the decay envelope of the mean FID."""
         t = np.asarray(t, dtype=float)
         w = self.width_rad
-        if w == 0.0:
-            return np.ones_like(t)
         if self.kind == "white":
             # np.sinc(x) = sin(pi x)/(pi x); want sin(w t)/(w t).
             return np.sinc(w * t / np.pi)

@@ -122,6 +122,14 @@ class TestPreset:
             assert run_cli("preset", "fig3", "--output", str(path), cwd=tmp_path).returncode == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_theory_preset_ignores_ensemble_overrides(self, tmp_path):
+        # fig3 holds no draws: its trailer states seed 0 and no realizations, and its hash names the stock config.
+        paths = [tmp_path / "stock.csv", tmp_path / "overridden.csv"]
+        overrides = ([], ["--seed", "7", "--n-realizations", "50"])
+        for path, extra in zip(paths, overrides):
+            assert run_cli("preset", "fig3", "--output", str(path), *extra, cwd=tmp_path).returncode == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_default_output_name_in_cwd(self, tmp_path):
         result = run_cli("preset", "fig3", cwd=tmp_path)
         assert result.returncode == 0

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
+import json
 import math
 import subprocess
 import sys
@@ -404,10 +406,13 @@ class TestPhaseSum:
         reference = np.exp(1j * np.outer(eta, grid.points)).sum(axis=0) / n
         assert np.max(np.abs((trace.mx + 1j * trace.my) / d0 - reference)) <= 1e-12
 
-    def test_zero_width_puts_every_draw_at_the_origin(self, default_grid):
-        noise = NoiseModel("white", 0.0)
-        got = nufft_mean(noise, default_grid, 1000, seed=3)
-        assert np.max(np.abs(got - 1.0)) <= 1e-12
+    @pytest.mark.parametrize("kind", ["white", "gaussian", "lorentzian"])
+    def test_zero_width_puts_every_draw_at_the_origin(self, default_grid, kind):
+        # Each draw is +0 or -0, which np.mod maps to bin 0 with offset 0: chi_hat is R exactly.
+        n = 5000
+        got = spinfid.engine._phase_sum(NoiseModel(kind, 0.0), default_grid, n, 3)
+        assert got.real.tobytes() == np.full(default_grid.n_points, float(n)).tobytes()
+        assert np.all(got.imag == 0.0)
 
     def test_tiny_negative_offset_wraps_onto_the_first_node(self, default_grid):
         # np.mod rounds these up to a full period, so the draw lands one period out.
@@ -728,7 +733,7 @@ ARRAY_VALUE_OBJECTS = {
     "ExperimentResult": lambda: spinfid.experiments.ExperimentResult(
         preset_config("fig1"), _unit_trace(), {"single": np.ones(481)}
     ),
-    "PresetResult": lambda: spinfid.experiments.PresetResult("fig4b", ("fig4b.csv",), {"m": np.arange(1.0, 6.0)}),
+    "PresetResult": lambda: spinfid.experiments.PresetResult(("fig4b.csv",), {"m": np.arange(1.0, 6.0)}),
     "TableData": lambda: TableData({"m": np.arange(1.0, 6.0)}),
 }
 
@@ -833,6 +838,42 @@ class TestAgainstAnalyticOracles:
         assert np.max(np.abs(trace.mperp - oracle)) < 5e-3
 
 
+# Defines core_name(): the name of the OpenBLAS core a child runs on, or ""
+# where numpy loaded no OpenBLAS.
+CORE_NAME_SOURCE = """\
+import ctypes, sys
+def core_name():
+    core = ""
+    if sys.platform.startswith("linux"):
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]})
+        for lib in map(ctypes.CDLL, paths):
+            for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+                if hasattr(lib, symbol):
+                    getter = getattr(lib, symbol)
+                    getter.restype = ctypes.c_char_p
+                    core = getter().decode()
+    return core
+"""
+
+
+def run_child(directory, source: str, *args: str, disabled: tuple[str, ...] = (), core_type: str | None = None) -> str:
+    """Stdout of ``source`` run by a child Python in ``directory``, with numpy's ``disabled``
+    dispatch targets off and OpenBLAS forced to ``core_type`` (both as detected when empty)."""
+    env = subprocess_env()
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    env.pop("OPENBLAS_CORETYPE", None)
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+    if core_type:
+        env["OPENBLAS_CORETYPE"] = core_type
+    result = subprocess.run(
+        [sys.executable, "-c", source, *args], capture_output=True, text=True, cwd=directory, env=env, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 # A child is given numpy's CPU-feature module and the dispatch targets to run
 # without, and writes these presets into its working directory.  numpy
 # ignores a name it does not know, so the child checks that every named
@@ -850,15 +891,7 @@ for name in {SIMD_PRESETS!r}:
 
 
 def preset_columns_at_level(directory, disabled: tuple[str, ...]) -> dict[tuple[str, str], np.ndarray]:
-    env = subprocess_env()
-    env.pop("NPY_DISABLE_CPU_FEATURES", None)
-    if disabled:
-        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
-    result = subprocess.run(
-        [sys.executable, "-c", SIMD_CHILD, numpy_umath.__name__, *disabled],
-        capture_output=True, text=True, cwd=directory, env=env, timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
+    run_child(directory, SIMD_CHILD, numpy_umath.__name__, *disabled, disabled=disabled)
     return preset_columns(directory)
 
 
@@ -892,26 +925,14 @@ class TestSimdLevels:
 
 
 # A child writes these presets into its working directory and prints the name
-# of the OpenBLAS core it ran on, or nothing where numpy loaded no OpenBLAS.
-# OPENBLAS_CORETYPE names the kernel set an OpenBLAS built with DYNAMIC_ARCH
-# uses in place of the one it detects.
+# of the OpenBLAS core it ran on.  OPENBLAS_CORETYPE names the kernel set an
+# OpenBLAS built with DYNAMIC_ARCH uses in place of the one it detects.
 BLAS_PRESETS = ("fig4a", "fig4b")
-BLAS_CHILD = f"""\
-import ctypes, sys
+BLAS_CHILD = CORE_NAME_SOURCE + f"""\
 from spinfid import run_preset
 for name in {BLAS_PRESETS!r}:
     run_preset(name, n_realizations=2000, output=name + ".csv")
-core = ""
-if sys.platform.startswith("linux"):
-    with open("/proc/self/maps") as maps:
-        paths = sorted({{line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]}})
-    for lib in map(ctypes.CDLL, paths):
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-            if hasattr(lib, symbol):
-                getter = getattr(lib, symbol)
-                getter.restype = ctypes.c_char_p
-                core = getter().decode()
-print(core)
+print(core_name())
 """
 
 # Each forced core type, with the numpy CPU feature its kernels need.
@@ -920,16 +941,9 @@ BLAS_DATA_COLUMNS = ("mx", "my", "mperp", "r_numeric")
 
 
 def preset_columns_at_core(directory, core_type: str | None) -> tuple[str, dict[tuple[str, str], np.ndarray]]:
-    env = subprocess_env()
-    env.pop("OPENBLAS_CORETYPE", None)
-    if core_type:
-        env["OPENBLAS_CORETYPE"] = core_type
-    result = subprocess.run(
-        [sys.executable, "-c", BLAS_CHILD], capture_output=True, text=True, cwd=directory, env=env, timeout=300
-    )
-    assert result.returncode == 0, result.stderr
+    core = run_child(directory, BLAS_CHILD, core_type=core_type).strip()
     columns = {key: values for key, values in preset_columns(directory).items() if key[1] in BLAS_DATA_COLUMNS}
-    return result.stdout.strip(), columns
+    return core, columns
 
 
 class TestBlasKernels:
@@ -959,3 +973,78 @@ class TestBlasKernels:
         assert {column for _, column in native} == set(BLAS_DATA_COLUMNS)
         for key, values in native.items():
             np.testing.assert_allclose(forced[key], values, rtol=0.0, atol=1e-14, err_msg=f"{core_type} {key}")
+
+
+# The byte-identity contract.  A child runs these command lines, then prints
+# the key that moves their bytes: the numpy version, the highest numpy
+# dispatch level enabled (the baseline where every target is off), and the
+# OpenBLAS core name.
+DIGEST_RUNS = (
+    *(("preset", name, "--n-realizations", "2000", "--output", f"{name}.csv")
+      for name in spinfid.experiments.PRESET_NAMES),
+    ("sweep", "--preset", "fig4b", "--param", "m", "--values", "0.5,1,3",
+     "--n-realizations", "300", "--output", "sweep_m.csv"),
+    ("sweep", "--preset", "fig2-pps", "--param", "width", "--values", "0,10,28",
+     "--n-realizations", "300", "--output", "sweep_width.csv"),
+)
+DIGEST_CHILD = CORE_NAME_SOURCE + f"""\
+import contextlib, importlib, io, json
+import numpy
+from spinfid.cli import main
+for argv in {DIGEST_RUNS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+umath = importlib.import_module(sys.argv[1])
+levels = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__[target]] or umath.__cpu_baseline__
+print(json.dumps([numpy.__version__, levels[-1], core_name()]))
+"""
+
+# sha256 of every file DIGEST_CHILD writes, by key.  A change that moves these
+# bytes on purpose updates this table in the same commit and states the old
+# and new digests.
+PRESET_DIGESTS = {
+    ("2.4.6", "AVX512_SPR", "SkylakeX"): {
+        "fig1.csv": "5cde2cf3e376d53760f536179704b642122e7176c06f714d6c03d8d52f1569a0",
+        "fig2-pps-x10.csv": "2dc2986da43710ab3d5627c87a9b932d4e485fa592bdc17b3bb3c8e78be9380c",
+        "fig2-pps.csv": "d38713041bc9aaea607f94f6f9d7feb5f925221d86b953835c7306c1d5a2228d",
+        "fig2-thermal.csv": "1cdff68430b592fefc6c798c20f535bfc9ea626483aede173d316be13cfe647f",
+        "fig3.csv": "b28631f17aca175a94a181192e34b1f06d84e29e76e34981a676e040f679847f",
+        "fig4a_m1.csv": "3207d5045087cb76f55d4cf4f83b4922b055e58ea56e989f541ca0d1308ba987",
+        "fig4a_m2p5.csv": "b7c195fe7e3ea8fdf7309ea02a1b68f6ff4d4cc6cb4331d63a69b18b3064ff57",
+        "fig4a_m5.csv": "02d5fb1b64fe964d414f638b5a3f659b834c8d3538e371a031de2b392192e2af",
+        "fig4b.csv": "a5f7208cb57cf58ba331b5c82bc10e29437fcadb14a043bb0efd3018df1f21d4",
+        "sweep_m.csv": "1f0301a330e50c6a7e34cab8c043fb5fc7b8b6fea82751d3b3dbf85c854834d3",
+        "sweep_width.csv": "8ec31c681cdd5e95067a95a9853a7dccb09ba9a5590b0d7171bdc9681e0320af",
+    },
+    # Every dispatch target off and OPENBLAS_CORETYPE=Prescott, whose kernel set OpenBLAS names Katmai.
+    ("2.4.6", "X86_V2", "Katmai"): {
+        "fig1.csv": "17e6c0d15d76ca0271654ba8e4d1ee027c32cf25e278290b996248efaa6da0bd",
+        "fig2-pps-x10.csv": "2e9d91a60b5440fbda60ae6e4c0bb29fd6704d27459ada9aaf50073b3ed17d42",
+        "fig2-pps.csv": "7210c8bb337e51041711f7b550bb29c9db26772465c3547d068085bee3632733",
+        "fig2-thermal.csv": "257656580c67f25e3b3b5f0de61f3684cdb136cf39a4b8f1ea4a16dd06bbcd36",
+        "fig3.csv": "629966427aaa9165bbe0583cee8e59e8253105d9a14f1e0bcbd20e9e433c1170",
+        "fig4a_m1.csv": "d8c7695e8516ea87c1c5e732d50c97b9f3b0c56161c56b5b0e899cb904440634",
+        "fig4a_m2p5.csv": "c413dee115d55268b6493bdefe0606a7fa74dba477d8d14b3693a7fe97ab9a9b",
+        "fig4a_m5.csv": "d45e8b214ba3af24c6f6c7f5d013babec5f0958755492855b2b6093ce85604f6",
+        "fig4b.csv": "4c47e400bfc9bf9cee9ed476bdc26381621b87ddf51e911be2440eaae32aadca",
+        "sweep_m.csv": "8a913dd84fbb821727e6c282f045ee2645333fecf8db856b71ddca6bca9ccfcb",
+        "sweep_width.csv": "a178666f86a8569a55f0a92fef6e19050f0ae5022605f0ae47022f75b4890754",
+    },
+}
+
+
+class TestPresetDigests:
+    """Every preset file at 2000 draws and two sweep tables keep their committed bytes."""
+
+    @pytest.mark.parametrize("portable", [False, True], ids=["native", "x86-v2-prescott"])
+    def test_files_match_the_committed_digests(self, tmp_path, portable):
+        if portable and not numpy_umath.__cpu_features__.get("SSE3"):
+            pytest.skip("this CPU lacks SSE3, which Prescott kernels need")
+        disabled = tuple(numpy_umath.__cpu_dispatch__) if portable else ()
+        printed = run_child(tmp_path, DIGEST_CHILD, numpy_umath.__name__, disabled=disabled,
+                            core_type="Prescott" if portable else None)
+        key = tuple(json.loads(printed))
+        if key not in PRESET_DIGESTS:
+            pytest.skip(f"no committed digests for numpy {key[0]} at {key[1]} with OpenBLAS core {key[2]!r}")
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.glob("*.csv"))}
+        assert digests == PRESET_DIGESTS[key]

@@ -48,9 +48,19 @@ class TestConstruction:
 
 
 class TestSampling:
-    def test_zero_width_yields_zero(self):
-        model = NoiseModel("lorentzian", 0.0)
-        assert np.all(model.sample_block(123, 0, 64) == 0.0)
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_zero_width_yields_zero(self, kind):
+        # The general quantile path: every clamped quantile is finite, so w = 0 gives +0 or -0.
+        draws = NoiseModel(kind, 0.0).sample_block(123, 0, 4096)
+        assert draws.dtype == np.float64
+        assert np.all(draws == 0.0)
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("start", [0, 5])
+    def test_empty_block_is_an_empty_float_array(self, kind, start):
+        draws = NoiseModel(kind, 28.0).sample_block(7, start, 0)
+        assert draws.dtype == np.float64
+        assert draws.shape == (0,)
 
     def test_same_seed_same_draws(self):
         model = NoiseModel("gaussian", 28.0)
