@@ -141,8 +141,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}, expected one of {NOISE_KINDS}")
-        if not (self.width >= 0.0) or not math.isfinite(self.width):
-            raise ValueError(f"noise width must be finite and >= 0, got {self.width!r}")
+        if not (self.width >= 0.0 and math.isfinite(self.width_rad)):
+            raise ValueError(f"noise width must be >= 0 and finite in rad/s, got {self.width!r}")
 
     @property
     def width_rad(self) -> float:

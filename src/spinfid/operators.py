@@ -62,7 +62,7 @@ def require_square(a: np.ndarray) -> int:
 
 def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
     defect = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if defect > tol:
+    if not defect <= tol:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
 
 
@@ -125,7 +125,7 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         require_hermitian(m)
         tr = np.trace(m).real
-        if abs(tr - 1.0) > 1e-10:
+        if not abs(tr - 1.0) <= 1e-10:
             raise ValueError(f"density matrix trace is {tr!r}, expected 1")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

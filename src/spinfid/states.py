@@ -46,6 +46,8 @@ class PulseSpec:
             raise ValueError(f"pulse axis must be x, y, or z, got {self.axis!r}")
         if self.target < 0:
             raise ValueError(f"pulse target must be >= 0, got {self.target}")
+        if not math.isfinite(self.angle):
+            raise ValueError(f"pulse angle must be finite, got {self.angle!r}")
 
     def rotation(self) -> np.ndarray:
         """2x2 unitary exp(-i angle sigma_axis / 2)."""

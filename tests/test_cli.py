@@ -228,6 +228,13 @@ class TestSimulate:
         assert result.returncode == 2
         assert "config error" in result.stderr
 
+    def test_width_that_overflows_in_rad_per_s_is_a_config_error(self, tmp_path):
+        ini = tmp_path / "wide.ini"
+        ini.write_text(SMALL_INI.replace("width = 28", "width = 1e308"))
+        result = run_cli("simulate", str(ini), cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.startswith("config error:") and "Warning" not in result.stderr
+
     def test_negative_observable_index_is_a_config_error(self, tmp_path):
         ini = tmp_path / "negative.ini"
         ini.write_text(SMALL_INI + "[run]\nobservable = single:-1\n")

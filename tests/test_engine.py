@@ -838,28 +838,45 @@ class TestAgainstAnalyticOracles:
         assert np.max(np.abs(trace.mperp - oracle)) < 5e-3
 
 
-# Defines core_name(): the name of the OpenBLAS core a child runs on, or ""
-# where numpy loaded no OpenBLAS.
-CORE_NAME_SOURCE = """\
-import ctypes, sys
-def core_name():
-    core = ""
-    if sys.platform.startswith("linux"):
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]})
-        for lib in map(ctypes.CDLL, paths):
-            for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-                if hasattr(lib, symbol):
-                    getter = getattr(lib, symbol)
-                    getter.restype = ctypes.c_char_p
-                    core = getter().decode()
-    return core
+# The byte-identity contract.  A child runs these command lines, then prints
+# the key that moves their bytes: the numpy version, the highest numpy
+# dispatch level enabled (the baseline where every target is off), and the
+# name of the OpenBLAS core it ran on ("" where numpy loaded no OpenBLAS).
+DIGEST_RUNS = (
+    *(("preset", name, "--n-realizations", "2000", "--output", f"{name}.csv")
+      for name in spinfid.experiments.PRESET_NAMES),
+    ("sweep", "--preset", "fig4b", "--param", "m", "--values", "0.5,1,3",
+     "--n-realizations", "300", "--output", "sweep_m.csv"),
+    ("sweep", "--preset", "fig2-pps", "--param", "width", "--values", "0,10,28",
+     "--n-realizations", "300", "--output", "sweep_width.csv"),
+)
+DIGEST_CHILD = f"""\
+import contextlib, ctypes, importlib, io, json, sys
+import numpy
+from spinfid.cli import main
+for argv in {DIGEST_RUNS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+umath = importlib.import_module(sys.argv[1])
+levels = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__[target]] or umath.__cpu_baseline__
+core = ""
+if sys.platform.startswith("linux"):
+    with open("/proc/self/maps") as maps:
+        paths = sorted({{line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]}})
+    for lib in map(ctypes.CDLL, paths):
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(lib, symbol):
+                getter = getattr(lib, symbol)
+                getter.restype = ctypes.c_char_p
+                core = getter().decode()
+print(json.dumps([numpy.__version__, levels[-1], core]))
 """
 
 
-def run_child(directory, source: str, *args: str, disabled: tuple[str, ...] = (), core_type: str | None = None) -> str:
-    """Stdout of ``source`` run by a child Python in ``directory``, with numpy's ``disabled``
-    dispatch targets off and OpenBLAS forced to ``core_type`` (both as detected when empty)."""
+def write_preset_files(directory, disabled: tuple[str, ...] = (), core_type: str | None = None) -> tuple[str, ...]:
+    """Write every DIGEST_RUNS file into ``directory`` from a child Python with numpy's ``disabled``
+    dispatch targets off and OpenBLAS forced to ``core_type`` (both as detected when empty); return
+    the key the child printed.  An OpenBLAS built with DYNAMIC_ARCH obeys OPENBLAS_CORETYPE."""
     env = subprocess_env()
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     env.pop("OPENBLAS_CORETYPE", None)
@@ -868,31 +885,11 @@ def run_child(directory, source: str, *args: str, disabled: tuple[str, ...] = ()
     if core_type:
         env["OPENBLAS_CORETYPE"] = core_type
     result = subprocess.run(
-        [sys.executable, "-c", source, *args], capture_output=True, text=True, cwd=directory, env=env, timeout=300
+        [sys.executable, "-c", DIGEST_CHILD, numpy_umath.__name__],
+        capture_output=True, text=True, cwd=directory, env=env, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout
-
-
-# A child is given numpy's CPU-feature module and the dispatch targets to run
-# without, and writes these presets into its working directory.  numpy
-# ignores a name it does not know, so the child checks that every named
-# target really is off.
-SIMD_PRESETS = ("fig1", "fig2-pps", "fig4b")
-SIMD_CHILD = f"""\
-import importlib, sys
-from spinfid import run_preset
-features = importlib.import_module(sys.argv[1]).__cpu_features__
-still_on = [target for target in sys.argv[2:] if features[target]]
-assert not still_on, f"dispatch targets still enabled: {{still_on}}"
-for name in {SIMD_PRESETS!r}:
-    run_preset(name, n_realizations=2000, output=name + ".csv")
-"""
-
-
-def preset_columns_at_level(directory, disabled: tuple[str, ...]) -> dict[tuple[str, str], np.ndarray]:
-    run_child(directory, SIMD_CHILD, numpy_umath.__name__, *disabled, disabled=disabled)
-    return preset_columns(directory)
+    return tuple(json.loads(result.stdout))
 
 
 def preset_columns(directory) -> dict[tuple[str, str], np.ndarray]:
@@ -904,100 +901,65 @@ def preset_columns(directory) -> dict[tuple[str, str], np.ndarray]:
     }
 
 
+@pytest.fixture(scope="module")
+def native(tmp_path_factory):
+    """The key and directory of one child run at the detected dispatch level and OpenBLAS core."""
+    directory = tmp_path_factory.mktemp("native")
+    return write_preset_files(directory), directory
+
+
 class TestSimdLevels:
     """Bytes hold for one SIMD level; across numpy's dispatch levels the values agree to 1e-15."""
-
-    @pytest.fixture(scope="class")
-    def native(self, tmp_path_factory):
-        return preset_columns_at_level(tmp_path_factory.mktemp("native"), ())
 
     @pytest.mark.parametrize("target", numpy_umath.__cpu_dispatch__)
     def test_presets_agree_below_each_dispatch_target(self, native, tmp_path, target):
         if not numpy_umath.__cpu_features__.get(target):
             pytest.skip(f"this CPU does not run numpy's {target} kernels")
-        # Disabling a target and every later one runs at the level below it.
+        # Disabling a target and every later one runs at the level below it.  numpy
+        # ignores names it does not know, so the printed level shows they are off.
         targets = numpy_umath.__cpu_dispatch__
-        disabled = tuple(targets[targets.index(target):])
-        lowered = preset_columns_at_level(tmp_path, disabled)
-        assert lowered.keys() == native.keys()
-        for key, values in native.items():
-            np.testing.assert_allclose(lowered[key], values, rtol=0.0, atol=1e-15, err_msg=str(key))
+        index = targets.index(target)
+        key = write_preset_files(tmp_path, disabled=tuple(targets[index:]))
+        assert key[1] == (targets[index - 1] if index else numpy_umath.__cpu_baseline__[-1])
+        reference, lowered = preset_columns(native[1]), preset_columns(tmp_path)
+        assert lowered.keys() == reference.keys()
+        for column, values in reference.items():
+            np.testing.assert_allclose(lowered[column], values, rtol=0.0, atol=1e-15, err_msg=str(column))
 
-
-# A child writes these presets into its working directory and prints the name
-# of the OpenBLAS core it ran on.  OPENBLAS_CORETYPE names the kernel set an
-# OpenBLAS built with DYNAMIC_ARCH uses in place of the one it detects.
-BLAS_PRESETS = ("fig4a", "fig4b")
-BLAS_CHILD = CORE_NAME_SOURCE + f"""\
-from spinfid import run_preset
-for name in {BLAS_PRESETS!r}:
-    run_preset(name, n_realizations=2000, output=name + ".csv")
-print(core_name())
-"""
 
 # Each forced core type, with the numpy CPU feature its kernels need.
 BLAS_CORE_TYPES = {"Haswell": "AVX2", "SandyBridge": "AVX", "Prescott": "SSE3"}
-BLAS_DATA_COLUMNS = ("mx", "my", "mperp", "r_numeric")
-
-
-def preset_columns_at_core(directory, core_type: str | None) -> tuple[str, dict[tuple[str, str], np.ndarray]]:
-    core = run_child(directory, BLAS_CHILD, core_type=core_type).strip()
-    columns = {key: values for key, values in preset_columns(directory).items() if key[1] in BLAS_DATA_COLUMNS}
-    return core, columns
 
 
 class TestBlasKernels:
     """The exchange presets' D(t) goes through LAPACK eigh and BLAS products, so the kernel set moves
-    their last bits; across OpenBLAS core types their data columns agree to 1e-14."""
+    their last bits; across OpenBLAS core types every column agrees to 1e-14."""
 
     @pytest.fixture(scope="class")
-    def runs(self, tmp_path_factory):
-        cores = [core for core, feature in BLAS_CORE_TYPES.items() if numpy_umath.__cpu_features__.get(feature)]
-        return {
-            core: preset_columns_at_core(tmp_path_factory.mktemp(core or "detected"), core)
-            for core in [None, *cores]
-        }
+    def forced(self, tmp_path_factory):
+        """The printed key and the directory of a child run under each core type this CPU can run."""
+        runs = {}
+        for core_type, feature in BLAS_CORE_TYPES.items():
+            if numpy_umath.__cpu_features__.get(feature):
+                directory = tmp_path_factory.mktemp(core_type)
+                runs[core_type] = write_preset_files(directory, core_type=core_type), directory
+        return runs
 
-    def test_each_core_type_takes_effect(self, runs):
-        if not runs[None][0]:
+    def test_each_core_type_takes_effect(self, native, forced):
+        if not native[0][2]:
             pytest.skip("numpy did not load OpenBLAS")
-        forced = [name for core, (name, _) in runs.items() if core]
-        assert len(set(forced)) == len(forced), forced
+        cores = [key[2] for key, _ in forced.values()]
+        assert len(set(cores)) == len(cores), cores
 
     @pytest.mark.parametrize("core_type", BLAS_CORE_TYPES)
-    def test_data_columns_agree_across_core_types(self, runs, core_type):
-        if core_type not in runs:
+    def test_data_columns_agree_across_core_types(self, native, forced, core_type):
+        if core_type not in forced:
             pytest.skip(f"this CPU lacks {BLAS_CORE_TYPES[core_type]}, which {core_type} kernels need")
-        native, forced = runs[None][1], runs[core_type][1]
-        assert forced.keys() == native.keys()
-        assert {column for _, column in native} == set(BLAS_DATA_COLUMNS)
-        for key, values in native.items():
-            np.testing.assert_allclose(forced[key], values, rtol=0.0, atol=1e-14, err_msg=f"{core_type} {key}")
+        reference, columns = preset_columns(native[1]), preset_columns(forced[core_type][1])
+        assert columns.keys() == reference.keys()
+        for column, values in reference.items():
+            np.testing.assert_allclose(columns[column], values, rtol=0.0, atol=1e-14, err_msg=f"{core_type} {column}")
 
-
-# The byte-identity contract.  A child runs these command lines, then prints
-# the key that moves their bytes: the numpy version, the highest numpy
-# dispatch level enabled (the baseline where every target is off), and the
-# OpenBLAS core name.
-DIGEST_RUNS = (
-    *(("preset", name, "--n-realizations", "2000", "--output", f"{name}.csv")
-      for name in spinfid.experiments.PRESET_NAMES),
-    ("sweep", "--preset", "fig4b", "--param", "m", "--values", "0.5,1,3",
-     "--n-realizations", "300", "--output", "sweep_m.csv"),
-    ("sweep", "--preset", "fig2-pps", "--param", "width", "--values", "0,10,28",
-     "--n-realizations", "300", "--output", "sweep_width.csv"),
-)
-DIGEST_CHILD = CORE_NAME_SOURCE + f"""\
-import contextlib, importlib, io, json
-import numpy
-from spinfid.cli import main
-for argv in {DIGEST_RUNS!r}:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(list(argv)) == 0, argv
-umath = importlib.import_module(sys.argv[1])
-levels = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__[target]] or umath.__cpu_baseline__
-print(json.dumps([numpy.__version__, levels[-1], core_name()]))
-"""
 
 # sha256 of every file DIGEST_CHILD writes, by key.  A change that moves these
 # bytes on purpose updates this table in the same commit and states the old
@@ -1037,14 +999,13 @@ class TestPresetDigests:
     """Every preset file at 2000 draws and two sweep tables keep their committed bytes."""
 
     @pytest.mark.parametrize("portable", [False, True], ids=["native", "x86-v2-prescott"])
-    def test_files_match_the_committed_digests(self, tmp_path, portable):
+    def test_files_match_the_committed_digests(self, native, tmp_path, portable):
         if portable and not numpy_umath.__cpu_features__.get("SSE3"):
             pytest.skip("this CPU lacks SSE3, which Prescott kernels need")
-        disabled = tuple(numpy_umath.__cpu_dispatch__) if portable else ()
-        printed = run_child(tmp_path, DIGEST_CHILD, numpy_umath.__name__, disabled=disabled,
-                            core_type="Prescott" if portable else None)
-        key = tuple(json.loads(printed))
+        key, directory = native
+        if portable:
+            key, directory = write_preset_files(tmp_path, tuple(numpy_umath.__cpu_dispatch__), "Prescott"), tmp_path
         if key not in PRESET_DIGESTS:
             pytest.skip(f"no committed digests for numpy {key[0]} at {key[1]} with OpenBLAS core {key[2]!r}")
-        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.glob("*.csv"))}
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(directory.glob("*.csv"))}
         assert digests == PRESET_DIGESTS[key]

@@ -1,8 +1,8 @@
 """Every exported name resolves, so a deletion cannot leave a dangling export.
 
 The package republishes each library module's ``__all__`` by wildcard
-import, so the composed list must stay free of clashes.  Every module
-also uses each name it imports.
+import, so the composed list must stay free of clashes.  Every module,
+and every test module, also uses each name it imports.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ import pytest
 import spinfid
 
 MODULES = ["spinfid"] + [f"spinfid.{info.name}" for info in pkgutil.iter_modules(spinfid.__path__)]
+SOURCES = {
+    **{name: Path(importlib.import_module(name).__file__) for name in MODULES[1:]},
+    **{f"tests/{path.name}": path for path in sorted(Path(__file__).parent.glob("*.py"))},
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -45,7 +49,7 @@ def test_cli_entry_points_are_not_package_exports():
     assert {"main", "build_parser"}.isdisjoint(spinfid.__all__)
 
 
-@pytest.mark.parametrize("name", MODULES[1:])
+@pytest.mark.parametrize("name", SOURCES)
 def test_every_imported_name_is_used(name):
     """A deletion must not leave its import behind.
 
@@ -53,7 +57,7 @@ def test_every_imported_name_is_used(name):
     dead import would also keep such a pin resolving after the call it
     times is gone.  ``__init__`` is exempt: its imports are re-exports.
     """
-    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+    tree = ast.parse(SOURCES[name].read_text())
     imported = {
         (alias.asname or alias.name).partition(".")[0]
         for node in ast.walk(tree)

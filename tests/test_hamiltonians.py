@@ -54,6 +54,13 @@ class TestSpinSystemSpec:
         with pytest.raises(ValueError):
             SpinSystemSpec(magnification=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["delta", "j"])
+    def test_non_finite_offset_or_coupling_rejected(self, field, value):
+        stock = getattr(SpinSystemSpec(), field)
+        with pytest.raises(ValueError, match="finite"):
+            SpinSystemSpec(**{field: (*stock[:-1], value)})
+
     def test_scale_flag(self):
         assert SpinSystemSpec().scale == TWO_PI
         assert SpinSystemSpec(angular_units=True).scale == 1.0

@@ -37,6 +37,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             NoiseModel("white", -1.0)
 
+    def test_width_that_overflows_in_rad_per_s_rejected(self):
+        # 2*pi*1e308 is inf, so every draw would be inf or NaN.
+        with pytest.raises(ValueError, match="finite in rad/s"):
+            NoiseModel("lorentzian", 1e308)
+
+    def test_largest_widths_in_rad_per_s_construct(self):
+        assert NoiseModel("lorentzian", 1e308, angular_units=True).width_rad == 1e308
+
     def test_stock_model_is_the_default(self):
         assert NoiseModel() == NoiseModel("lorentzian", 28.0)
 

@@ -242,6 +242,9 @@ class TestDensityMatrix:
         bad[0, 1] = 0.3j
         with pytest.raises(ValueError):
             DensityMatrix(bad)
+        # A NaN defect fails the bound too.
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(np.full((2, 2), np.nan))
 
     def test_negative_eigenvalues_allowed(self):
         # deviation-style inputs with small negative parts are accepted as they are

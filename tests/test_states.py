@@ -62,6 +62,9 @@ class TestThermalState:
     def test_out_of_range_polarization(self):
         with pytest.raises(ValueError):
             thermal_state(SpinSystemSpec(polarization=1.5))
+        # NaN fails every comparison, so the bound is written so that NaN fails it.
+        with pytest.raises(ValueError, match="polarization"):
+            thermal_state(SpinSystemSpec(polarization=float("nan")))
 
 
 class TestPseudoPureState:
@@ -130,6 +133,11 @@ class TestApplyPulse:
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             PulseSpec(target=0, axis="w")
+
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match="pulse angle must be finite"):
+            PulseSpec(target=0, angle=angle)
 
     def test_default_pulse_is_quarter_turn_about_y(self):
         pulse = PulseSpec(target=2)
