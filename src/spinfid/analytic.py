@@ -276,8 +276,8 @@ def trapezoid_weights(t: np.ndarray) -> np.ndarray:
 def _relative_residual(a: np.ndarray, a_0: np.ndarray, weights: np.ndarray) -> float:
     """The one formula behind both public residual ratios: integral w |a - a_0| / integral w a_0."""
     denominator = float(np.sum(weights * a_0))
-    if denominator <= 0.0:
-        raise ValueError("baseline modulus integrates to zero")
+    if not denominator > 0.0:  # NaN fails too
+        raise ValueError(f"baseline modulus integrates to {denominator:.3g}, not to a positive value")
     return float(np.sum(weights * np.abs(a - a_0)) / denominator)
 
 

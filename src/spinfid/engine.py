@@ -353,7 +353,11 @@ def _checked_parts(
     observable = observable if observable is not None else ObservableSpec.single(spec.n_spins - 1)
     obs = observable.ladder_matrix(spec.n_spins)
     build = build_effective if hamiltonian == "effective" else build_rotating_heisenberg
-    h0 = build(spec, eta_z=0.0)
+    # Each offset and coupling is finite in rad/s (SpinSystemSpec checks), but their sum can overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h0 = build(spec, eta_z=0.0)
+    if not np.isfinite(h0).all():
+        raise ValueError(f"the {hamiltonian} Hamiltonian overflows: its offsets and couplings sum past the float range")
     _require_factorisation(h0, obs, spec.n_spins)
     return h0, obs
 

@@ -73,10 +73,15 @@ class SpinSystemSpec:
         n_pairs = self.n_spins * (self.n_spins - 1) // 2
         if len(self.j) != n_pairs:
             raise ValueError(f"expected {n_pairs} couplings for {self.n_spins} spins, got {len(self.j)}")
-        if not all(map(math.isfinite, self.delta + self.j)):
-            raise ValueError(f"offsets and couplings must be finite, got {self.delta} and {self.j}")
         if not (self.magnification >= 0.0 and math.isfinite(self.magnification)):
             raise ValueError(f"magnification must be finite and >= 0, got {self.magnification!r}")
+        # As the builders scale them: an offset or coupling that overflows there would make H0 inf or NaN.
+        coupling_scale = self.scale * self.magnification
+        if not all(map(math.isfinite, [self.scale * x for x in self.delta] + [coupling_scale * x for x in self.j])):
+            raise ValueError(
+                "offsets, and couplings times the magnification, must be finite in rad/s; "
+                f"got delta = {self.delta}, j = {self.j}, magnification = {self.magnification!r}"
+            )
         if not abs(self.polarization) <= 1.0:
             raise ValueError(f"|polarization| must not exceed 1, got {self.polarization!r}")
 

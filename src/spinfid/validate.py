@@ -44,16 +44,20 @@ class CheckResult:
     detail: str
 
 
+def _within(label: str, residuals: np.typing.ArrayLike, bound: float) -> float:
+    """max |residuals|; raises unless it is at most ``bound``, so a NaN residual fails."""
+    worst = float(np.max(np.abs(residuals)))
+    if not worst <= bound:
+        raise AssertionError(f"{label} {worst:.3g} exceeds {bound:.3g}")
+    return worst
+
+
 def _check_pauli_algebra() -> str:
     x, y, z, eye = pauli("x"), pauli("y"), pauli("z"), PAULI["i"]
-    worst = 0.0
+    residuals = []
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        worst = max(worst, float(np.max(np.abs(a @ b - 1j * c))))
-        worst = max(worst, float(np.max(np.abs(a @ b + b @ a))))
-    for a in (x, y, z):
-        worst = max(worst, float(np.max(np.abs(a @ a - eye))))
-    if worst > 1e-15:
-        raise AssertionError(f"algebra residual {worst:.3g}")
+        residuals += [a @ b - 1j * c, a @ b + b @ a, a @ a - eye]
+    _within("algebra residual", residuals, 1e-15)
     return "products, anticommutators, squares all exact"
 
 
@@ -80,10 +84,8 @@ def _check_propagator() -> str:
     u1 = expm_hermitian(h, 0.3)
     u2 = expm_hermitian(h, 0.5)
     u3 = expm_hermitian(h, 0.8)
-    defect = max(float(np.max(np.abs(u @ u.conj().T - np.eye(8)))) for u in (u1, u2))
-    group = float(np.max(np.abs(u1 @ u2 - u3)))
-    if defect > 1e-12 or group > 1e-12:
-        raise AssertionError(f"unitarity defect {defect:.3g}, group residual {group:.3g}")
+    defect = _within("unitarity defect", [u @ u.conj().T - np.eye(8) for u in (u1, u2)], 1e-12)
+    group = _within("group residual", u1 @ u2 - u3, 1e-12)
     return f"unitarity defect {defect:.2g}, group residual {group:.2g}"
 
 
@@ -93,19 +95,13 @@ def _check_hamiltonian_structure() -> str:
     h_eff = build_effective(spec)
     h_rot = build_rotating_heisenberg(spec)
     for name, h in (("lab", h_lab), ("effective", h_eff), ("rotating", h_rot)):
-        if np.max(np.abs(h - h.conj().T)) > 1e-12:
-            raise AssertionError(f"{name} Hamiltonian is not Hermitian")
-    if np.max(np.abs(h_eff - np.diag(np.diagonal(h_eff)))) != 0.0:
-        raise AssertionError("effective Hamiltonian has off-diagonal terms")
+        _within(f"{name} Hamiltonian's anti-Hermitian part", h - h.conj().T, 1e-12)
+    _within("effective Hamiltonian's off-diagonal part", h_eff - np.diag(np.diagonal(h_eff)), 0.0)
     z_total = sum(embed(pauli("z"), k, 3) for k in range(3))
-    comm = float(np.max(np.abs(h_rot @ z_total - z_total @ h_rot)))
-    if comm > 1e-10:
-        raise AssertionError(f"rotating Hamiltonian does not conserve total z ({comm:.3g})")
+    _within("rotating Hamiltonian's commutator with total z", h_rot @ z_total - z_total @ h_rot, 1e-10)
     h0 = build_effective(replace(spec, magnification=0.0))
     h2 = build_effective(replace(spec, magnification=2.0))
-    linearity = float(np.max(np.abs((h2 - h0) - 2.0 * (h_eff - h0))))
-    if linearity > 1e-9:
-        raise AssertionError(f"coupling term is not linear in magnification ({linearity:.3g})")
+    _within("coupling term's departure from linearity in magnification", (h2 - h0) - 2.0 * (h_eff - h0), 1e-9)
     return "hermitian, diagonal secular part, conserved total z, linear couplings"
 
 
@@ -115,18 +111,13 @@ def _check_states() -> str:
     rho_p = pps_state(spec)
     uniform = (1.0 - 0.5) / 8.0
     want = np.sort(np.concatenate([np.full(7, uniform), [uniform + 0.5]]))
-    got = np.sort(np.linalg.eigvalsh(rho_p.matrix))
-    if not np.allclose(got, want, atol=1e-12, rtol=0.0):
-        raise AssertionError(f"pseudo-pure spectrum {got}")
+    _within("pseudo-pure spectrum error", np.sort(np.linalg.eigvalsh(rho_p.matrix)) - want, 1e-12)
     pulsed = apply_pulse(rho_t, PulseSpec(target=2))
     before = np.sort(np.linalg.eigvalsh(rho_t.matrix))
     after = np.sort(np.linalg.eigvalsh(pulsed.matrix))
-    if not np.allclose(before, after, atol=1e-12, rtol=0.0):
-        raise AssertionError("pulse changed the state spectrum")
-    sz = embed(pauli("z"), 2, 3)
-    m_along = float(np.trace(rho_t.matrix @ sz).real)
-    if abs(m_along - spec.polarization) > 1e-12:
-        raise AssertionError(f"thermal <sigma_z> = {m_along}, want {spec.polarization}")
+    _within("pulse's change of the state spectrum", after - before, 1e-12)
+    m_along = np.trace(rho_t.matrix @ embed(pauli("z"), 2, 3)).real
+    _within("thermal <sigma_z> error", m_along - spec.polarization, 1e-12)
     return "spectra and longitudinal moments as constructed"
 
 
@@ -143,15 +134,13 @@ def _check_noise_determinism() -> str:
 def _check_noise_statistics() -> str:
     grid = TimeGrid(n_points=97)
     n_draws = 20_000
-    worst = 0.0
+    residuals = []
     for kind in ("white", "gaussian", "lorentzian"):
         model = NoiseModel(kind)
         # The mean of exp(i eta t): cos averages to avg_cos(t), sin to zero by symmetry.
         mc = _phase_sum(model, grid, n_draws, 7) / n_draws
-        cos_error = float(np.max(np.abs(mc.real - model.avg_cos(grid.points))))
-        worst = max(worst, cos_error, float(np.max(np.abs(mc.imag))))
-    if worst > 0.04:
-        raise AssertionError(f"Monte-Carlo dephasing factor off by {worst:.3g}")
+        residuals += [mc.real - model.avg_cos(grid.points), mc.imag]
+    worst = _within("Monte-Carlo dephasing factor error", residuals, 0.04)
     return f"20k-draw dephasing factors within {worst:.3g} of closed forms"
 
 
@@ -172,7 +161,7 @@ def _per_draw_reference(spec: SpinSystemSpec, state_kind: str, etas: np.ndarray,
 def _check_engine_closed_form() -> str:
     grid = TimeGrid(n_points=49)
     noise = NoiseModel("gaussian")
-    worst = 0.0
+    residuals = []
     for state_kind, polarization in (("thermal", -1.0), ("pps", 1.0)):
         spec = SpinSystemSpec(polarization=polarization)
         config = replace(
@@ -186,9 +175,8 @@ def _check_engine_closed_form() -> str:
         trace = run_experiment(config).trace
         etas = noise.sample_block(23, 0, 3)
         mx, my = _per_draw_reference(spec, state_kind, etas, grid.points)
-        worst = max(worst, float(np.max(np.abs(trace.mx - mx))), float(np.max(np.abs(trace.my - my))))
-    if worst > 1e-10:
-        raise AssertionError(f"engine deviates from closed forms by {worst:.3g}")
+        residuals += [trace.mx - mx, trace.my - my]
+    worst = _within("engine deviation from closed forms", residuals, 1e-10)
     return f"per-draw agreement within {worst:.2g}"
 
 
@@ -212,9 +200,7 @@ def _check_path_agreement() -> str:
                 rho = DensityMatrix(step @ rho.matrix @ step.conj().T)
             reference[k] += np.trace(rho.matrix @ obs)
     reference /= n_draws
-    worst = float(np.max(np.abs(trace.mx + 1j * trace.my - reference)))
-    if worst > 1e-10:
-        raise AssertionError(f"engine deviates from per-draw propagation by {worst:.3g}")
+    worst = _within("engine deviation from per-draw propagation", trace.mx + 1j * trace.my - reference, 1e-10)
     return f"exchange-coupled trace vs per-draw expm propagation within {worst:.2g} at m=5"
 
 
@@ -248,9 +234,7 @@ def _check_coupling_invariance() -> str:
         spec = SpinSystemSpec(polarization=1.0, magnification=magnification)
         initial = apply_pulse(pps_state(spec), PulseSpec(target=2))
         traces.append(evolve_fid(spec, initial, noise, grid, n_realizations=500, seed=17))
-    worst = float(np.max(np.abs(traces[0].mperp - traces[1].mperp)))
-    if worst > 1e-9:
-        raise AssertionError(f"pseudo-pure modulus moved by {worst:.3g} under 10x couplings")
+    worst = _within("pseudo-pure modulus change under 10x couplings", traces[0].mperp - traces[1].mperp, 1e-9)
     return f"pseudo-pure modulus coupling-independent within {worst:.2g}"
 
 

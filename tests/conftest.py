@@ -1,8 +1,10 @@
-"""Shared fixtures and the acceptance-report terminal summary."""
+"""Shared fixtures, the child-process runner and the acceptance-report terminal summary."""
 
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,16 +27,28 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {number} [{verdict}] {title} — {detail}")
 
 
-def subprocess_env() -> dict[str, str]:
-    """Environment for a ``python -m spinfid`` child run from any directory.
+def run_child(argv: list[str], cwd=None, env: dict[str, str | None] | None = None) -> subprocess.CompletedProcess[str]:
+    """Run ``argv`` to completion in ``cwd`` and capture its stdout and stderr as text.
 
-    Puts this checkout's absolute ``src/`` first on PYTHONPATH, so the
-    child imports the code under test even when its working directory is
-    elsewhere and the package is not installed.
+    The child inherits this environment with ``env`` applied on top: a
+    value of None removes that variable.  This checkout's absolute
+    ``src/`` goes first on PYTHONPATH, so a Python child imports the code
+    under test from any working directory, installed or not.  This is the
+    suite's only place that starts a process.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC_DIR), env.get("PYTHONPATH"))))
-    return env
+    child_env = dict(os.environ)
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC_DIR), child_env.get("PYTHONPATH"))))
+    for name, value in (env or {}).items():
+        if value is None:
+            child_env.pop(name, None)
+        else:
+            child_env[name] = value
+    return subprocess.run(argv, capture_output=True, text=True, cwd=cwd, env=child_env, timeout=300)
+
+
+def run_cli(*args: str, cwd=None, env: dict[str, str | None] | None = None) -> subprocess.CompletedProcess[str]:
+    """``python -m spinfid *args`` through :func:`run_child`."""
+    return run_child([sys.executable, "-m", "spinfid", *args], cwd=cwd, env=env)
 
 
 @pytest.fixture(autouse=True)

@@ -13,14 +13,12 @@ detail rather than being loosened to match the exact dynamics.
 
 from __future__ import annotations
 
-import subprocess
-import sys
 import time
 from dataclasses import replace
 
 import numpy as np
 
-from conftest import ACCEPTANCE_REPORT, subprocess_env
+from conftest import ACCEPTANCE_REPORT, run_cli
 
 from spinfid import (
     NoiseModel,
@@ -270,13 +268,7 @@ def test_7_worker_count_never_changes_emitted_rows(tmp_path):
     outputs = []
     for workers in (1, 3):
         out = tmp_path / f"workers{workers}.csv"
-        result = subprocess.run(
-            [
-                sys.executable, "-m", "spinfid", "preset", "fig2-pps",
-                "--output", str(out), "--workers", str(workers),
-            ],
-            capture_output=True, text=True, cwd=tmp_path, env=subprocess_env(), timeout=300,
-        )
+        result = run_cli("preset", "fig2-pps", "--output", str(out), "--workers", str(workers), cwd=tmp_path)
         assert result.returncode == 0, result.stderr
         outputs.append(out.read_bytes())
     rows = [body.split(b"#", 1)[0] for body in outputs]

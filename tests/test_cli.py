@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import subprocess_env
+from conftest import run_cli
 
 from spinfid.analytic import fid_pps, fid_single, fid_thermal, residual_ratio_analytic
 from spinfid.csvio import load_csv
@@ -37,17 +35,6 @@ def exchange_total_ini(delta: str) -> str:
     return (
         SMALL_INI.replace("[system]\n", f"[system]\ndelta = {delta}\n")
         + "[run]\nhamiltonian = heisenberg\nobservable = total\n"
-    )
-
-
-def run_cli(*args, cwd=None, extra_env=None):
-    return subprocess.run(
-        [sys.executable, "-m", "spinfid", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env={**subprocess_env(), **(extra_env or {})},
-        timeout=300,
     )
 
 
@@ -147,7 +134,7 @@ class TestPreset:
                 out = tmp_path / f"blas{blas_threads}-workers{workers}.csv"
                 result = run_cli(
                     "preset", *args, "--workers", workers, "--output", str(out), cwd=tmp_path,
-                    extra_env={"OPENBLAS_NUM_THREADS": blas_threads, "OMP_NUM_THREADS": blas_threads},
+                    env={"OPENBLAS_NUM_THREADS": blas_threads, "OMP_NUM_THREADS": blas_threads},
                 )
                 assert result.returncode == 0, result.stderr
                 outputs.append(out.read_bytes())
@@ -179,11 +166,11 @@ class TestPreset:
         # Only --workers names a worker count, and it changes no byte; no
         # environment variable can change or break a run.
         outputs = []
-        for extra_env in ({}, {"SPINFID_WORKERS": "abc"}):
+        for env in ({}, {"SPINFID_WORKERS": "abc"}):
             out = tmp_path / f"run{len(outputs)}.csv"
             result = run_cli(
                 "preset", "fig2-pps", "--n-realizations", "100", "--output", str(out),
-                cwd=tmp_path, extra_env=extra_env,
+                cwd=tmp_path, env=env,
             )
             assert result.returncode == 0, result.stderr
             outputs.append(out.read_bytes())
@@ -234,6 +221,22 @@ class TestSimulate:
         result = run_cli("simulate", str(ini), cwd=tmp_path)
         assert result.returncode == 2
         assert result.stderr.startswith("config error:") and "Warning" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "system, run, message",
+        [
+            ("delta = 0, 1e308, 1027\n", "", "config error: offsets, and couplings times the magnification"),
+            ("j = 1e300, 69, 50\nmagnification = 1e10\n", "hamiltonian = heisenberg\n", "config error: offsets"),
+            ("delta = 2e307, 2e307, 2e307\n", "", "error: the effective Hamiltonian overflows"),
+        ],
+        ids=["offset", "coupling", "sum"],
+    )
+    def test_offset_or_coupling_overflowing_in_rad_per_s_exits_2_without_warning(self, tmp_path, system, run, message):
+        ini = tmp_path / "huge.ini"
+        ini.write_text(SMALL_INI.replace("[system]\n", f"[system]\n{system}") + f"[run]\n{run}")
+        result = run_cli("simulate", str(ini), cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.startswith(message) and "Warning" not in result.stderr
 
     def test_negative_observable_index_is_a_config_error(self, tmp_path):
         ini = tmp_path / "negative.ini"

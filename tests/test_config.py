@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,12 @@ MINIMAL = "[system]\n[noise]\n[state]\n[grid]\n[ensemble]\n"
 def with_key(section: str, line: str) -> str:
     """Minimal document with one extra key under the given section."""
     return MINIMAL.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+
+
+def test_readme_example_is_the_fig2_thermal_preset():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+    assert parse_config(example) == preset_config("fig2-thermal", output="trace.csv")
 
 
 class TestDefaults:

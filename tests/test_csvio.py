@@ -109,6 +109,19 @@ class TestRoundTrip:
             assert column.dtype == np.float64 and column.shape == (0,)
         assert data.metadata == metadata
 
+    def test_blank_lines_are_skipped(self, sample_trace, tmp_path):
+        path = tmp_path / "trace.csv"
+        emit_trace_csv(str(path), sample_trace, oracles={"pps": np.linspace(0.5, 0.0, 481)})
+        lines = path.read_text().splitlines(keepends=True)
+        trailer = next(k for k, line in enumerate(lines) if line.startswith("#"))
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("".join(lines[:3] + ["\n"] + lines[3:trailer] + ["\n"] + lines[trailer:]))
+        want, got = load_csv(str(path)), load_csv(str(spaced))
+        assert list(got.columns) == list(want.columns)
+        for name, column in want.columns.items():
+            assert np.array_equal(got.columns[name], column)
+        assert got.metadata == want.metadata
+
     def test_generic_table_round_trip(self, tmp_path):
         path = tmp_path / "table.csv"
         m = np.array([1.0, 2.0, 5.0])

@@ -6,14 +6,14 @@ import hashlib
 import inspect
 import json
 import math
-import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import subprocess_env
+from conftest import run_child
 
 import spinfid.engine
 import spinfid.experiments
@@ -785,7 +785,13 @@ class TestResidualRatio:
             with pytest.raises(ValueError) as refused:
                 refuse()
             messages.append(str(refused.value))
-        assert messages == ["baseline modulus integrates to zero"] * 2
+        assert messages == ["baseline modulus integrates to 0, not to a positive value"] * 2
+
+    def test_nan_baseline_rejected(self, default_grid):
+        nan = self.synthetic(default_grid, np.full(default_grid.n_points, np.nan))
+        one = self.synthetic(default_grid, np.ones(default_grid.n_points))
+        with pytest.raises(ValueError, match="integrates to nan"):
+            residual_ratio(one, nan)
 
 
 class TestArgumentValidation:
@@ -810,6 +816,16 @@ class TestArgumentValidation:
         with pytest.raises(ValueError, match="work limit"):
             evolve_fid(spec, pulsed_pps(spec), NoiseModel("lorentzian", 28.0),
                        TimeGrid(n_points=n_points), n_realizations=n_realizations)
+
+    @pytest.mark.parametrize("kind", ["effective", "heisenberg"])
+    def test_hamiltonian_whose_sum_overflows_is_refused_without_warning(self, kind, default_grid):
+        # Each offset is finite in rad/s, but H0's corner entry sums all three past the float range.
+        spec = SpinSystemSpec(delta=(2e307, 2e307, 2e307), polarization=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"the {kind} Hamiltonian overflows"):
+                evolve_fid(spec, pulsed_pps(spec), NoiseModel("white", 0.0), default_grid,
+                           n_realizations=1, hamiltonian=kind)
 
     def test_unknown_hamiltonian(self, default_system, default_grid):
         with pytest.raises(ValueError):
@@ -877,16 +893,10 @@ def write_preset_files(directory, disabled: tuple[str, ...] = (), core_type: str
     """Write every DIGEST_RUNS file into ``directory`` from a child Python with numpy's ``disabled``
     dispatch targets off and OpenBLAS forced to ``core_type`` (both as detected when empty); return
     the key the child printed.  An OpenBLAS built with DYNAMIC_ARCH obeys OPENBLAS_CORETYPE."""
-    env = subprocess_env()
-    env.pop("NPY_DISABLE_CPU_FEATURES", None)
-    env.pop("OPENBLAS_CORETYPE", None)
-    if disabled:
-        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
-    if core_type:
-        env["OPENBLAS_CORETYPE"] = core_type
-    result = subprocess.run(
+    result = run_child(
         [sys.executable, "-c", DIGEST_CHILD, numpy_umath.__name__],
-        capture_output=True, text=True, cwd=directory, env=env, timeout=300,
+        cwd=directory,
+        env={"NPY_DISABLE_CPU_FEATURES": " ".join(disabled) or None, "OPENBLAS_CORETYPE": core_type or None},
     )
     assert result.returncode == 0, result.stderr
     return tuple(json.loads(result.stdout))

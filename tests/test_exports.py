@@ -2,7 +2,8 @@
 
 The package republishes each library module's ``__all__`` by wildcard
 import, so the composed list must stay free of clashes.  Every module,
-and every test module, also uses each name it imports.
+and every test module, also uses each name it imports, and only
+``conftest.py`` imports ``subprocess``.
 """
 
 from __future__ import annotations
@@ -66,3 +67,16 @@ def test_every_imported_name_is_used(name):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_only_conftest_starts_child_processes():
+    """Every child process starts through ``conftest.run_child``, with one environment and timeout."""
+    importers = [
+        name
+        for name, path in SOURCES.items()
+        if name.startswith("tests/") and name != "tests/conftest.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Import) and any(alias.name.partition(".")[0] == "subprocess" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "subprocess")
+    ]
+    assert importers == []

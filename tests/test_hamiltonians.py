@@ -54,12 +54,17 @@ class TestSpinSystemSpec:
         with pytest.raises(ValueError):
             SpinSystemSpec(magnification=-1.0)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    # 1e308 Hz is finite, but 2*pi*1e308 rad/s is not.
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1e308])
     @pytest.mark.parametrize("field", ["delta", "j"])
     def test_non_finite_offset_or_coupling_rejected(self, field, value):
         stock = getattr(SpinSystemSpec(), field)
         with pytest.raises(ValueError, match="finite"):
             SpinSystemSpec(**{field: (*stock[:-1], value)})
+
+    def test_coupling_that_overflows_with_its_magnification_rejected(self):
+        with pytest.raises(ValueError, match="finite in rad/s"):
+            SpinSystemSpec(j=(1e300, 69.0, 50.0), magnification=1e10)
 
     def test_scale_flag(self):
         assert SpinSystemSpec().scale == TWO_PI

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import subprocess
 import sys
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from conftest import subprocess_env
+from conftest import run_child
 
 from spinfid import NOISE_KINDS, NoiseModel
 from spinfid.noise import _ndtri
@@ -182,9 +181,7 @@ class TestGaussianQuantile:
             "assert all(r.passed for r in spinfid.run_validation())\n"
             f"print(sorted(m for m in sys.modules if any(m == a or m.startswith(a + '.') for a in {absent!r})))\n"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(), timeout=300
-        )
+        result = run_child([sys.executable, "-c", code])
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 

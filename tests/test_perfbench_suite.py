@@ -8,22 +8,14 @@ because its ``conftest.py`` would clash with the one in ``tests/``.
 
 from __future__ import annotations
 
-import subprocess
 import sys
 from pathlib import Path
 
-from conftest import subprocess_env
+from conftest import run_child
 
 REPO_DIR = Path(__file__).resolve().parent.parent
 
 
 def test_perfbench_tests_pass():
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "perfbench", "-q", "-p", "no:cacheprovider"],
-        capture_output=True,
-        text=True,
-        cwd=REPO_DIR,
-        env=subprocess_env(),
-        timeout=300,
-    )
+    result = run_child([sys.executable, "-m", "pytest", "perfbench", "-q", "-p", "no:cacheprovider"], cwd=REPO_DIR)
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
