@@ -10,9 +10,10 @@ Layout (UTF-8, LF line endings)::
     # polarization = 1.0
     # config_hash = <sha256 hex>
 
-Floats are written with ``repr`` so every value round-trips bit-exactly;
-metadata trails the data as ``# key = value`` comment lines.  The loader
-returns the columns and metadata and can rebuild a trace object, checking
+Every data cell is a float64, written with ``repr`` so it round-trips
+bit-exactly; ``write_csv`` refuses a column of any other dtype.  Metadata
+trails the data as ``# key = value`` comment lines.  The loader returns
+the columns and metadata and can rebuild a trace object, checking
 that the time column is a uniform grid starting at zero and that the
 magnitude column matches ``hypot(mx, my)`` to 1e-12; each of its errors
 names the file.  The rebuilt trace derives its ``mperp`` from the loaded
@@ -52,15 +53,10 @@ def _format_value(value: object) -> str:
     return str(value)
 
 
-def _cells(array: np.ndarray) -> Iterable[str]:
-    # repr of a Python float is _format_value's float form, without a per-cell call.
-    return map(repr, array.tolist()) if array.dtype == np.float64 else map(_format_value, array)
-
-
 @functools.lru_cache(maxsize=4)
 def _time_cells(grid: TimeGrid) -> tuple[str, ...]:
     """The t_s text of every trace on ``grid``: its points formatted once per grid."""
-    return tuple(_cells(grid.points))
+    return tuple(map(repr, grid.points.tolist()))
 
 
 def _write_rows(path: str, header: Iterable[str], cells: list, metadata: Mapping[str, object] | None) -> None:
@@ -72,15 +68,19 @@ def _write_rows(path: str, header: Iterable[str], cells: list, metadata: Mapping
 
 
 def write_csv(path: str, columns: Mapping[str, np.ndarray], metadata: Mapping[str, object] | None = None) -> None:
-    """Write named columns plus trailing metadata comments.
+    """Write named float64 columns plus trailing metadata comments.
 
     The header is the mapping's keys in order: the shape ``load_csv(path).columns`` returns.
+    A column of any other dtype is refused, since the loader reads every cell back as a float.
     """
     arrays = [np.asarray(column) for column in columns.values()]
+    for name, array in zip(columns, arrays):
+        if array.dtype != np.float64:
+            raise ValueError(f"column {name!r} has dtype {array.dtype}; every column must be float64")
     lengths = {array.shape for array in arrays}
     if len(lengths) > 1 or (arrays and arrays[0].ndim != 1):
         raise ValueError(f"columns must be 1-d and equally long, got shapes {sorted(lengths)}")
-    _write_rows(path, columns, [_cells(array) for array in arrays], metadata)
+    _write_rows(path, columns, [map(repr, array.tolist()) for array in arrays], metadata)
 
 
 def emit_trace_csv(
@@ -104,7 +104,8 @@ def emit_trace_csv(
         header.append(f"{ORACLE_PREFIX}{name}{ORACLE_SUFFIX}")
         columns.append(values)
     merged = {"seed": trace.seed, "n_realizations": trace.n_realizations, "polarization": trace.polarization}
-    _write_rows(path, header, [_time_cells(trace.grid), *map(_cells, columns)], {**merged, **(metadata or {})})
+    cells = [_time_cells(trace.grid), *(map(repr, column.tolist()) for column in columns)]
+    _write_rows(path, header, cells, {**merged, **(metadata or {})})
 
 
 @dataclass(frozen=True, eq=False)

@@ -75,11 +75,12 @@ class SpinSystemSpec:
             raise ValueError(f"expected {n_pairs} couplings for {self.n_spins} spins, got {len(self.j)}")
         if not (self.magnification >= 0.0 and math.isfinite(self.magnification)):
             raise ValueError(f"magnification must be finite and >= 0, got {self.magnification!r}")
-        # As the builders scale them: an offset or coupling that overflows there would make H0 inf or NaN.
+        # The bound caps every entry of H0 and, by Gershgorin, every line frequency; terms match the build_* products.
         coupling_scale = self.scale * self.magnification
-        if not all(map(math.isfinite, [self.scale * x for x in self.delta] + [coupling_scale * x for x in self.j])):
+        bound = 2.0 * (sum(abs(self.scale * x) for x in self.delta) + sum(abs(coupling_scale * x) for x in self.j))
+        if not math.isfinite(bound):
             raise ValueError(
-                "offsets, and couplings times the magnification, must be finite in rad/s; "
+                "offsets, and couplings times the magnification, must keep 2 * sum of |value| finite in rad/s; "
                 f"got delta = {self.delta}, j = {self.j}, magnification = {self.magnification!r}"
             )
         if not abs(self.polarization) <= 1.0:

@@ -24,7 +24,10 @@ under key ``seed`` and converts the block's first uniform draw through
 the distribution's quantile function.  Results do not depend on batch
 boundaries or call order.  Zero width takes the same quantiles: the
 uniform draw is clamped inside (0, 1), so every quantile is finite, each
-offset is +0 or -0, and ``avg_cos`` is exactly 1.
+offset is +0 or -0, and ``avg_cos`` is exactly 1.  At the other end, a
+width is refused unless its largest draw, the quantile at one end of the
+clamped range (1, 8.29 and 3.53e15 widths out), is finite in rad/s; those
+quantiles are evaluated once, at import.
 
 The Gaussian quantile is ``_ndtri``, a numpy port of the Cephes ``ndtri``
 (S. L. Moshier, Cephes Mathematical Library) with its coefficients and
@@ -130,6 +133,20 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unit_quantile(kind: str, u: np.ndarray) -> np.ndarray:
+    """Quantile of the unit-width distribution ``kind`` at clamped uniform draws ``u``."""
+    if kind == "white":
+        return 2.0 * u - 1.0
+    if kind == "gaussian":
+        return _ndtri(u)
+    return np.tan(np.pi * (u - 0.5))  # lorentzian
+
+
+# Largest |quantile| over the clamped draws, at the ends of [_OPEN_SHIFT, _TOP]: 1, 8.29 and 3.53e15.
+# A width whose product with it is finite keeps every draw finite in rad/s.
+_REACH = {kind: float(np.abs(_unit_quantile(kind, np.array([_OPEN_SHIFT, _TOP]))).max()) for kind in NOISE_KINDS}
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Distribution family and scale of the static dephasing offset."""
@@ -141,8 +158,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}, expected one of {NOISE_KINDS}")
-        if not (self.width >= 0.0 and math.isfinite(self.width_rad)):
-            raise ValueError(f"noise width must be >= 0 and finite in rad/s, got {self.width!r}")
+        if not (self.width >= 0.0 and math.isfinite(self.width_rad * _REACH[self.kind])):
+            raise ValueError(f"noise width must be >= 0 and keep its largest draw finite in rad/s, got {self.width!r}")
 
     @property
     def width_rad(self) -> float:
@@ -167,13 +184,7 @@ class NoiseModel:
 
     def _quantile(self, raw: np.ndarray) -> np.ndarray:
         """Offsets eta_z (rad/s) for uniform draws ``raw`` in [0, 1)."""
-        u = np.minimum(raw + _OPEN_SHIFT, _TOP)
-        w = self.width_rad
-        if self.kind == "white":
-            return w * (2.0 * u - 1.0)
-        if self.kind == "gaussian":
-            return w * _ndtri(u)
-        return w * np.tan(np.pi * (u - 0.5))  # lorentzian quantile
+        return self.width_rad * _unit_quantile(self.kind, np.minimum(raw + _OPEN_SHIFT, _TOP))
 
     def sample(self, seed: int, index: int) -> float:
         """Single offset eta_z (rad/s) for realization ``index``."""
@@ -187,5 +198,6 @@ class NoiseModel:
             # np.sinc(x) = sin(pi x)/(pi x); want sin(w t)/(w t).
             return np.sinc(w * t / np.pi)
         if self.kind == "gaussian":
-            return np.exp(-0.5 * (w * t) ** 2)
+            # exp(-800) is already 0, so clamping |w t| at 40 changes no value and keeps the square finite.
+            return np.exp(-0.5 * np.minimum(np.abs(w * t), 40.0) ** 2)
         return np.exp(-w * np.abs(t))

@@ -215,9 +215,11 @@ class TestSimulate:
         assert result.returncode == 2
         assert "config error" in result.stderr
 
-    def test_width_that_overflows_in_rad_per_s_is_a_config_error(self, tmp_path):
+    # 2*pi*1e308 rad/s is inf; 2*pi*1e305 is finite, but the widest Lorentzian draw, 3.5e15 widths out, is not.
+    @pytest.mark.parametrize("width", ["1e308", "1e305"])
+    def test_width_that_overflows_in_rad_per_s_is_a_config_error(self, tmp_path, width):
         ini = tmp_path / "wide.ini"
-        ini.write_text(SMALL_INI.replace("width = 28", "width = 1e308"))
+        ini.write_text(SMALL_INI.replace("width = 28", f"width = {width}"))
         result = run_cli("simulate", str(ini), cwd=tmp_path)
         assert result.returncode == 2
         assert result.stderr.startswith("config error:") and "Warning" not in result.stderr
@@ -227,9 +229,11 @@ class TestSimulate:
         [
             ("delta = 0, 1e308, 1027\n", "", "config error: offsets, and couplings times the magnification"),
             ("j = 1e300, 69, 50\nmagnification = 1e10\n", "hamiltonian = heisenberg\n", "config error: offsets"),
-            ("delta = 2e307, 2e307, 2e307\n", "", "error: the effective Hamiltonian overflows"),
+            ("delta = 2e307, 2e307, 2e307\n", "", "config error: offsets"),
+            ("delta = 1.5e307, 1.5e307, 1.5e307\n", "", "config error: offsets"),
+            ("delta = 1.5e307, 1.5e307, 1.5e307\n", "hamiltonian = heisenberg\n", "config error: offsets"),
         ],
-        ids=["offset", "coupling", "sum"],
+        ids=["offset", "coupling", "sum", "sum-effective", "sum-heisenberg"],
     )
     def test_offset_or_coupling_overflowing_in_rad_per_s_exits_2_without_warning(self, tmp_path, system, run, message):
         ini = tmp_path / "huge.ini"
@@ -237,6 +241,25 @@ class TestSimulate:
         result = run_cli("simulate", str(ini), cwd=tmp_path)
         assert result.returncode == 2
         assert result.stderr.startswith(message) and "Warning" not in result.stderr
+
+    @pytest.mark.parametrize("offset", ["1e306", "1e200"])
+    @pytest.mark.parametrize("hamiltonian", ["effective", "heisenberg"])
+    def test_huge_offsets_run_without_warning(self, tmp_path, offset, hamiltonian):
+        ini = tmp_path / "huge.ini"
+        ini.write_text(
+            SMALL_INI.replace("[system]\n", f"[system]\ndelta = {offset}, {offset}, {offset}\n")
+            + f"[run]\nhamiltonian = {hamiltonian}\n"
+        )
+        result = run_cli("simulate", str(ini), "--output", str(tmp_path / "huge.csv"), cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "Warning" not in result.stderr
+
+    def test_width_whose_phase_positions_keep_no_fraction_exits_2_without_warning(self, tmp_path):
+        ini = tmp_path / "wide.ini"
+        ini.write_text(SMALL_INI.replace("width = 28", "width = 1e19"))
+        result = run_cli("simulate", str(ini), cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: noise width 1e+19") and "Warning" not in result.stderr
 
     def test_negative_observable_index_is_a_config_error(self, tmp_path):
         ini = tmp_path / "negative.ini"

@@ -166,16 +166,21 @@ class TestWriterBytes:
             1e-300, -1e-300, 1e300, -1e300, np.inf, -np.inf, 0.1, 1.0 / 3.0, -2.5,
         ])
         n = floats.size
-        columns = {
-            "x": floats,
-            "m": np.arange(n) - 7,
-            "big": np.full(n, 2**62, dtype=np.int64),
-            "flag": np.arange(n) % 3 == 0,
-        }
         metadata = {"seed": 7, "weight": -0.0, "tiny": 5e-324, "ok": True, "note": "text"}
         path = tmp_path / "special.csv"
-        write_csv(str(path), columns, metadata)
-        assert path.read_bytes() == cell_by_cell_bytes(columns, metadata)
+        write_csv(str(path), {"x": floats}, metadata)
+        assert path.read_bytes() == cell_by_cell_bytes({"x": floats}, metadata)
+        # The loader reads every cell as a float, so the writer refuses any column that is not float64.
+        for name, column in {
+            "m": np.arange(n) - 7,
+            "big": np.full(n, 2**62 + 1, dtype=np.int64),
+            "flag": np.arange(n) % 3 == 0,
+            "single": np.arange(n, dtype=np.float32),
+        }.items():
+            refusal = f"column '{name}' has dtype {column.dtype}; every column must be float64"
+            with pytest.raises(ValueError, match=refusal):
+                write_csv(str(tmp_path / "refused.csv"), {"x": floats, name: column})
+        assert not (tmp_path / "refused.csv").exists()
 
     @pytest.mark.parametrize("stem", PRESET_FILES)
     def test_preset_file(self, preset_dir, tmp_path, stem):

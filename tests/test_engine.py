@@ -254,35 +254,66 @@ class TestPerDrawExactness:
         assert np.max(np.abs(trace.my - want.imag)) < 1e-11
 
 
-class TestFactorisationGuard:
-    """evolve_fid refuses inputs for which D(t) chi(t) would be wrong."""
+BUILD_NAMES = {"effective": "build_effective", "heisenberg": "build_rotating_heisenberg"}
 
-    def test_transverse_term_in_hamiltonian_raises(self, monkeypatch, default_grid):
-        spec = SpinSystemSpec(polarization=1.0)
-        original = spinfid.engine.build_rotating_heisenberg
-        i_x = 0.5 * embed(pauli("x"), 0, spec.n_spins)
+
+def register(n_spins: int) -> tuple[SpinSystemSpec, DensityMatrix]:
+    """The n-spin register of REGISTERS at magnification 5, in its pseudo-pure state pulsed on the last spin."""
+    delta, j, label = REGISTERS[n_spins]
+    spec = SpinSystemSpec(n_spins, delta, j, polarization=1.0, magnification=5.0)
+    return spec, apply_pulse(pps_state(spec, label), PulseSpec(target=n_spins - 1))
+
+
+def total_magnetization(n_spins: int) -> np.ndarray:
+    """m_j, the total I_z of each basis state, from Pauli matrices embedded afresh."""
+    return 0.5 * np.diagonal(sum(embed(pauli("z"), i, n_spins) for i in range(n_spins))).real
+
+
+class TestFactorisationGuard:
+    """evolve_fid refuses inputs for which D(t) chi(t) would be wrong, at every register size."""
+
+    @pytest.mark.parametrize("kind", sorted(BUILD_NAMES))
+    @pytest.mark.parametrize("n_spins", sorted(REGISTERS))
+    def test_hamiltonians_keep_every_entry_inside_its_magnetization_sector(self, n_spins, kind):
+        spec, _ = register(n_spins)
+        h0 = getattr(spinfid.engine, BUILD_NAMES[kind])(spec, eta_z=0.0)
+        m = total_magnetization(n_spins)
+        joins_sectors = m[:, None] != m[None, :]
+        assert np.count_nonzero(h0[joins_sectors]) == 0
+        if kind == "heisenberg" and n_spins > 1:
+            assert np.count_nonzero(h0[~joins_sectors & ~np.eye(spec.dim, dtype=bool)]) > 0
+
+    @pytest.mark.parametrize("kind", sorted(BUILD_NAMES))
+    @pytest.mark.parametrize("n_spins, site", [(n, site) for n in sorted(REGISTERS) for site in range(n)])
+    def test_transverse_term_in_hamiltonian_raises(self, monkeypatch, n_spins, site, kind):
+        spec, initial = register(n_spins)
+        original = getattr(spinfid.engine, BUILD_NAMES[kind])
+        i_x = 0.5 * embed(pauli("x"), site, n_spins)
 
         def with_transverse_field(spec, eta_z=0.0):
             return original(spec, eta_z) + TWO_PI * 50.0 * i_x
 
-        monkeypatch.setattr(spinfid.engine, "build_rotating_heisenberg", with_transverse_field)
+        monkeypatch.setattr(spinfid.engine, BUILD_NAMES[kind], with_transverse_field)
+        grid = TimeGrid(t_max=0.004, n_points=41)
         with pytest.raises(ValueError, match="conserve total I_z"):
-            evolve_fid(spec, pulsed_pps(spec), NoiseModel("lorentzian", 28.0), default_grid,
-                       n_realizations=4, hamiltonian="heisenberg")
+            zero_noise_signal(spec, initial, grid, hamiltonian=kind)
+        with pytest.raises(ValueError, match="conserve total I_z"):
+            evolve_fid(spec, initial, NoiseModel("lorentzian", 28.0), grid, n_realizations=4, hamiltonian=kind)
 
-    @pytest.mark.parametrize("kind", ["effective", "heisenberg"])
+    @pytest.mark.parametrize("kind", sorted(BUILD_NAMES))
+    @pytest.mark.parametrize("n_spins", sorted(REGISTERS))
     @pytest.mark.parametrize("operator", ["hermitian-x", "lowering"])
-    def test_observable_that_is_not_single_quantum_raises(self, kind, operator, default_grid):
-        raising = ObservableSpec.single(2).ladder_matrix(3)
+    def test_observable_that_is_not_single_quantum_raises(self, kind, n_spins, operator):
+        raising = ObservableSpec.single(n_spins - 1).ladder_matrix(n_spins)
         matrix = {"hermitian-x": 0.5 * (raising + raising.conj().T), "lowering": raising.conj().T}
 
         class BadObservable(ObservableSpec):
             def ladder_matrix(self, n_spins: int) -> np.ndarray:
                 return matrix[operator]
 
-        spec = SpinSystemSpec(polarization=1.0)
+        spec, initial = register(n_spins)
         with pytest.raises(ValueError, match="single-quantum"):
-            evolve_fid(spec, pulsed_pps(spec), NoiseModel("lorentzian", 28.0), default_grid,
+            evolve_fid(spec, initial, NoiseModel("lorentzian", 28.0), TimeGrid(t_max=0.004, n_points=41),
                        observable=BadObservable(), n_realizations=4, hamiltonian=kind)
 
 
@@ -523,15 +554,6 @@ class TestZeroNoiseSignal:
         signal = zero_noise_signal(spec, initial, default_grid, observable=observable)
         assert signal.shape == (default_grid.n_points,)
         assert abs(signal[0] - np.trace(initial.matrix @ observable.ladder_matrix(spec.n_spins))) <= 1e-15
-
-    def test_refuses_a_hamiltonian_that_breaks_the_factorisation(self, monkeypatch, default_grid):
-        spec = SpinSystemSpec(polarization=1.0)
-        original = spinfid.engine.build_effective
-        i_x = 0.5 * embed(pauli("x"), 1, spec.n_spins)
-        monkeypatch.setattr(spinfid.engine, "build_effective",
-                            lambda spec, eta_z=0.0: original(spec, eta_z) + TWO_PI * 50.0 * i_x)
-        with pytest.raises(ValueError, match="conserve total I_z"):
-            zero_noise_signal(spec, pulsed_pps(spec), default_grid)
 
 
 class TestCachedPhaseSum:
@@ -817,15 +839,46 @@ class TestArgumentValidation:
             evolve_fid(spec, pulsed_pps(spec), NoiseModel("lorentzian", 28.0),
                        TimeGrid(n_points=n_points), n_realizations=n_realizations)
 
-    @pytest.mark.parametrize("kind", ["effective", "heisenberg"])
-    def test_hamiltonian_whose_sum_overflows_is_refused_without_warning(self, kind, default_grid):
-        # Each offset is finite in rad/s, but H0's corner entry sums all three past the float range.
-        spec = SpinSystemSpec(delta=(2e307, 2e307, 2e307), polarization=1.0)
+    @pytest.mark.parametrize("kind", sorted(BUILD_NAMES))
+    @pytest.mark.parametrize("offset", [1.5e307, 2e307])
+    def test_system_whose_bound_overflows_is_refused_at_construction(self, kind, offset, default_grid):
+        # Each offset is finite in rad/s, but the bound 2 * sum |2 pi delta_i| is not (at 2e307 H0's corner
+        # entry overflows too), so no such system reaches the engine.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"the {kind} Hamiltonian overflows"):
+            with pytest.raises(ValueError, match="offsets, and couplings times the magnification"):
+                spec = SpinSystemSpec(delta=(offset,) * 3, polarization=1.0)
                 evolve_fid(spec, pulsed_pps(spec), NoiseModel("white", 0.0), default_grid,
                            n_realizations=1, hamiltonian=kind)
+
+    @pytest.mark.parametrize("kind", sorted(BUILD_NAMES))
+    @pytest.mark.parametrize("offset", [1e306, 1e200])
+    def test_huge_offsets_evolve_without_warning(self, kind, offset, default_grid):
+        spec = SpinSystemSpec(delta=(offset,) * 3, polarization=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = evolve_fid(spec, pulsed_pps(spec), NoiseModel("lorentzian", 28.0), default_grid,
+                               n_realizations=10, hamiltonian=kind)
+        assert np.isfinite(trace.mx).all() and np.isfinite(trace.my).all()
+
+    @pytest.mark.parametrize("kind", ["white", "gaussian", "lorentzian"])
+    def test_width_whose_phase_positions_keep_no_fraction_is_refused_before_sampling(self, monkeypatch, kind):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a draw was sampled before the width was checked")
+
+        monkeypatch.setattr(NoiseModel, "sample_block", no_draws)
+        spec = SpinSystemSpec(polarization=1.0)
+        # Default grid: a width w in Hz reaches w dt M = 2**53 bins at 1.76e17 Hz (dt = 5e-5 s, M = 1024).
+        with pytest.raises(ValueError, match=r"noise width 1e\+19 .* no fraction of a bin"):
+            evolve_fid(spec, pulsed_pps(spec), NoiseModel(kind, 1e19), TimeGrid(), n_realizations=100)
+
+    @pytest.mark.parametrize("kind", ["white", "gaussian", "lorentzian"])
+    def test_width_below_the_phase_position_limit_runs(self, kind):
+        spec = SpinSystemSpec(polarization=1.0)
+        trace = evolve_fid(spec, pulsed_pps(spec), NoiseModel(kind, 1e17), TimeGrid(), n_realizations=2000)
+        # Dephased to the ensemble's own floor, about R**-1/2 of |D(0)| = 0.5.
+        assert trace.mperp[0] == 0.5
+        assert np.mean(trace.mperp[1:]) < 0.05 * 0.5
 
     def test_unknown_hamiltonian(self, default_system, default_grid):
         with pytest.raises(ValueError):

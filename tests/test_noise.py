@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -36,13 +38,29 @@ class TestConstruction:
         with pytest.raises(ValueError):
             NoiseModel("white", -1.0)
 
-    def test_width_that_overflows_in_rad_per_s_rejected(self):
-        # 2*pi*1e308 is inf, so every draw would be inf or NaN.
+    # 2*pi*1e308 is inf, so every draw would be inf or NaN.  The other widths are finite in rad/s, but the
+    # widest draw, 8.29 or 3.53e15 widths out, is not.
+    @pytest.mark.parametrize("kind, width", [("lorentzian", 1e308), ("gaussian", 3.5e306), ("lorentzian", 1e305)])
+    def test_width_that_overflows_in_rad_per_s_rejected(self, kind, width):
         with pytest.raises(ValueError, match="finite in rad/s"):
-            NoiseModel("lorentzian", 1e308)
+            NoiseModel(kind, width)
 
-    def test_largest_widths_in_rad_per_s_construct(self):
-        assert NoiseModel("lorentzian", 1e308, angular_units=True).width_rad == 1e308
+    # The largest |quantile| over the clamped draws u in [2**-54, 1 - 2**-53], and the largest width in Hz it allows.
+    REACH = {"white": (1.0, 2.86e307), "gaussian": (8.29, 3.45e306), "lorentzian": (3.53e15, 8.10e291)}
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_largest_widths_in_rad_per_s_construct(self, kind):
+        ends = np.array([0.0, TOP])  # the smallest and largest uniform draws
+        reach = float(np.max(np.abs(NoiseModel(kind, 1.0, angular_units=True)._quantile(ends))))
+        assert reach == pytest.approx(self.REACH[kind][0], rel=1e-3)
+        widest = sys.float_info.max / reach
+        while not math.isfinite(widest * reach):
+            widest = math.nextafter(widest, 0.0)
+        model = NoiseModel(kind, widest, angular_units=True)
+        assert np.isfinite(model._quantile(ends)).all()
+        with pytest.raises(ValueError, match="finite in rad/s"):
+            NoiseModel(kind, math.nextafter(widest, math.inf), angular_units=True)
+        assert widest / TWO_PI == pytest.approx(self.REACH[kind][1], rel=1e-3)
 
     def test_stock_model_is_the_default(self):
         assert NoiseModel() == NoiseModel("lorentzian", 28.0)
@@ -206,6 +224,21 @@ class TestClosedFormAverages:
         model = NoiseModel("gaussian", 28.0)
         sigma = TWO_PI * 28.0
         assert np.allclose(model.avg_cos(t), np.exp(-0.5 * (sigma * t) ** 2), atol=1e-14)
+
+    @pytest.mark.parametrize("width", [1e200, 1e300])
+    def test_gaussian_at_huge_width_is_the_same_bits_without_warning(self, width):
+        # (w t)**2 overflows from w t = 1.3e154 on; every value from w t = 38.6 on is 0.0 either way.
+        t = np.concatenate([np.linspace(0.0, 0.024, 481), np.geomspace(1e-320, 1e-140, 200)])
+        wt = TWO_PI * width * t
+        with np.errstate(over="ignore"):
+            want = np.exp(-0.5 * wt**2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = NoiseModel("gaussian", width).avg_cos(t)
+        assert got.tobytes() == want.tobytes()
+        # The same bits at stock widths, where nothing is clamped.
+        t = np.linspace(0.0, 0.024, 481)
+        assert NoiseModel("gaussian", 28.0).avg_cos(t).tobytes() == np.exp(-0.5 * (TWO_PI * 28.0 * t) ** 2).tobytes()
 
     def test_white_is_sinc_with_first_zero(self):
         model = NoiseModel("white", 28.0)
