@@ -15,15 +15,26 @@ and the noise enters as eta_r * sum_i I_iz, so exp(-i H t) factors into
 exp(-i H0 t) exp(-i eta_r t sum_i I_iz).  The recorded observable
 O = sum (I_x + i I_y) is single-quantum, [sum_i I_iz, O] = O, so the
 noise rotation reduces to a global phase and every realization's signal
-is D(t) exp(i eta_r t).  D(t) = sum_jk A_jk exp(-i w_jk t) comes from one
-eigendecomposition of H0 = H(eta = 0), and the ensemble mean is D(t)
-times the empirical characteristic function chi(t) = mean_r exp(i eta_r t)
-(Anderson, JPSJ 9, 316 (1954); Kubo, JPSJ 9, 935 (1954)).  Both
-assumptions are checked on every call as magnetization-sector conditions:
-with m_j the total I_z of basis state j, any H0 entry joining different m,
-or O entry not raising m by one, must vanish relative to the largest entry
-of its matrix, else evolve_fid raises ValueError instead of returning a
-wrong answer.  SpinSystemSpec's bound keeps H0 and each w_jk finite.
+is D(t) exp(i eta_r t), and the ensemble mean is D(t) times the empirical
+characteristic function chi(t) = mean_r exp(i eta_r t) (Anderson, JPSJ 9,
+316 (1954); Kubo, JPSJ 9, 935 (1954)).
+
+D(t) is built from the magnetization sectors: with m_j the total I_z of
+basis state j, _sectors lists the basis states of each m, lowest first,
+once per register size.  Each diagonal block H0_m = V_m diag(l_m) V_m^+
+has its own eigh, and since O takes sector m to m + 1, each adjacent pair
+contributes the lines A = (V_m^+ rho_(m,m+1) V_m+1) * (V_m+1^+ O_(m+1,m) V_m)^T
+at w = l_m - l_m+1 to D(t) = sum A exp(-i w t).  A pair whose rho block is
+zero adds nothing, and an amplitude that is exactly zero is dropped; the
+lines of roundoff size that one eigh of the whole H0 leaves between other
+sectors never enter.  This reads only H0's diagonal blocks and
+O's (m + 1, m) blocks, and those are exactly the two conditions checked on
+every call: any H0 entry joining different m, or O entry not raising m by
+one, must vanish relative to the largest entry of its matrix, else
+evolve_fid raises ValueError instead of returning a wrong answer.
+SpinSystemSpec's bound B keeps H0 and each w finite, and a grid on which
+B t_max 2**-53 exceeds 1e-6 rad, so that the phases w t keep too few
+digits, is refused as well.
 
 Shared phase sum: R chi depends only on the noise model, the grid, the
 realization count and the seed, not on the spins, the state, the pulse,
@@ -73,10 +84,11 @@ sums by the BLAS thread count.  So on one numpy build and SIMD dispatch
 level the results are bit-identical for any BLAS thread count.  Across
 SIMD levels numpy's exp and complex products take other vector paths,
 and the values agree to 1e-15.  D(t) of the exchange-coupled runs goes
-through LAPACK eigh and BLAS products, whose kernels OpenBLAS picks by
-CPU (OPENBLAS_CORETYPE forces a set), so the kernel choice moves their
-last bits further: the exchange presets' values agree to 1e-14 across
-core types.  The secular presets, whose H0 is diagonal, keep their bytes.
+through LAPACK eigh of the sector blocks and BLAS products, whose kernels
+OpenBLAS picks by CPU (OPENBLAS_CORETYPE forces a set), so the kernel
+choice moves their last bits further: the exchange presets' values agree
+to 1e-14 across core types.  The secular presets, whose H0 is diagonal,
+keep their bytes.
 """
 
 from __future__ import annotations
@@ -90,7 +102,7 @@ import numpy as np
 from .analytic import _relative_residual, trapezoid_weights
 from .hamiltonians import SpinSystemSpec, build_effective, build_rotating_heisenberg
 from .noise import NoiseModel
-from .operators import DensityMatrix, spin_operators
+from .operators import MAX_SPINS, DensityMatrix, spin_operators
 
 __all__ = [
     "DEFAULT_SEED",
@@ -135,6 +147,9 @@ _MAX_HISTOGRAM_CELLS = _TAYLOR_TERMS << 20
 
 # Relative tolerance of the run-time checks behind the D(t) chi(t) factorisation.
 _FACTORISATION_TOL = 1e-9
+
+# Largest rounding error, rad, allowed in the phase w t of D(t)'s fastest line at the end of the grid.
+_MAX_PHASE_ERROR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -262,9 +277,19 @@ def _chunk_bounds(n_realizations: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _CHUNK_DRAWS, n_realizations)) for lo in range(0, n_realizations, _CHUNK_DRAWS)]
 
 
+@functools.lru_cache(maxsize=MAX_SPINS)
+def _sectors(n_spins: int) -> tuple[np.ndarray, ...]:
+    """Shared read-only basis indices of each total-I_z sector of ``n_spins`` spins, lowest m first."""
+    m = spin_operators(n_spins)[:, 2].sum(axis=0).diagonal().real  # total I_z of each basis state
+    order = np.broadcast_to(np.argsort(m, kind="stable"), m.shape)  # a read-only view, as are its sectors
+    return tuple(np.split(order, np.flatnonzero(np.diff(m[order])) + 1))
+
+
 def _require_factorisation(h0: np.ndarray, obs: np.ndarray, n_spins: int) -> None:
     """Raise unless H0 keeps and O raises by one the total I_z of each basis state (see the module docstring)."""
-    m = spin_operators(n_spins)[:, 2].sum(axis=0).diagonal().real  # m_j: total I_z of basis state j
+    m = np.zeros(2**n_spins)  # m_j: total I_z of basis state j, less the lowest m
+    for value, sector in enumerate(_sectors(n_spins)):
+        m[sector] = value
     step = m[:, None] - m[None, :]  # [sum_i I_iz, A]_jk = step_jk A_jk for any A
     for matrix, kept, refusal in (
         (h0, 0, "Hamiltonian does not conserve total I_z"), (obs, 1, "observable is not single-quantum")
@@ -279,20 +304,39 @@ def _require_factorisation(h0: np.ndarray, obs: np.ndarray, n_spins: int) -> Non
 
 
 def _zero_noise_signal(h0: np.ndarray, rho: np.ndarray, obs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """D(t) = Tr(exp(-i H0 t) rho exp(i H0 t) O) = sum_jk A_jk exp(-i w_jk t) in H0's eigenbasis."""
-    vals, vecs = np.linalg.eigh(h0)
-    vecs_h = vecs.conj().T
-    amplitudes = (vecs_h @ rho @ vecs) * (vecs_h @ obs @ vecs).T  # A_jk = rho_jk * O_kj
-    omega = vals[:, None] - vals[None, :]
-    mask = np.abs(amplitudes) > 0.0
-    a = amplitudes[mask]
-    w = omega[mask]
-    return (a[:, None] * np.exp(-1j * np.outer(w, t))).sum(axis=0)
+    """D(t) = Tr(exp(-i H0 t) rho exp(i H0 t) O) = sum_jk A_jk exp(-i w_jk t), from H0's sector blocks."""
+    blocks = [(s, *np.linalg.eigh(h0[s][:, s])) for s in _sectors(h0.shape[0].bit_length() - 1)]
+    a, w = [np.zeros(0, dtype=complex)], [np.zeros(0)]
+    for (lo, vals_lo, vecs_lo), (hi, vals_hi, vecs_hi) in zip(blocks, blocks[1:]):
+        if (coherence := rho[lo][:, hi]).any():  # O raises m by one: only rho's (m, m + 1) blocks are read out
+            a.append(((vecs_lo.conj().T @ coherence @ vecs_hi) * (vecs_hi.conj().T @ obs[hi][:, lo] @ vecs_lo).T).ravel())
+            w.append(np.subtract.outer(vals_lo, vals_hi).ravel())
+    a, w = np.concatenate(a), np.concatenate(w)
+    return (a[a != 0.0, None] * np.exp(-1j * np.outer(w[a != 0.0], t))).sum(axis=0)
 
 
 def _bin_count(n_points: int) -> int:
     """Bins M of the phase sum: the smallest power of two with M >= 2 n_points."""
     return 1 << (2 * n_points - 1).bit_length()
+
+
+def _require_precision(spec: SpinSystemSpec, grid: TimeGrid, noise: NoiseModel | None = None) -> None:
+    """Raise unless the grid's phases keep their digits: D(t)'s line phases w t and, given ``noise``,
+    the draws' phase positions eta dt M / 2 pi."""
+    # |w| <= B, so a phase w t on the grid is rounded by up to B t_max 2**-53 rad.
+    phase_error = spec.frequency_bound * grid.t_max * 2.0**-53
+    if not phase_error <= _MAX_PHASE_ERROR:
+        raise ValueError(
+            f"offsets and couplings too large for this grid: their bound B = {spec.frequency_bound:.3g} rad/s "
+            f"gives line phases w t a rounding error B t_max 2**-53 = {phase_error:.4g} rad, over the "
+            f"{_MAX_PHASE_ERROR:g} rad bound"
+        )
+    # From 2**53 bins on, a draw of typical size has a phase position with no fraction of a bin.
+    if noise is not None and noise.width_rad * (grid.dt * _bin_count(grid.n_points) / math.tau) >= 2.0**53:
+        raise ValueError(
+            f"noise width {noise.width!r} is too wide for this grid: a typical draw's phase position "
+            "eta dt M / 2 pi reaches 2**53 bins and keeps no fraction of a bin"
+        )
 
 
 @functools.lru_cache(maxsize=1)
@@ -370,9 +414,11 @@ def zero_noise_signal(
 
     Every realization's signal is D(t) exp(i eta_r t), so ``evolve_fid``
     returns D(t) chi(t).  Raises ValueError where that factorisation
-    fails, exactly as ``evolve_fid`` does.
+    fails or the line phases on the grid keep too few digits, exactly as
+    ``evolve_fid`` does.
     """
     h0, obs = _checked_parts(spec, initial, observable, hamiltonian)
+    _require_precision(spec, grid)
     return _zero_noise_signal(h0, initial.matrix, obs, grid.points)
 
 
@@ -390,19 +436,17 @@ def evolve_fid(
 
     Raises ValueError if the Hamiltonian does not conserve total I_z or
     the observable is not single-quantum, since the D(t) chi(t)
-    factorisation would then give a wrong answer.  A call on the same
+    factorisation would then give a wrong answer, and where the phases
+    on the grid keep too few digits: the line phases once B t_max 2**-53
+    exceeds 1e-6 rad (B = ``spec.frequency_bound``), or a typical draw's
+    phase position once it reaches 2**53 bins.  A call on the same
     (noise, grid, n_realizations, seed) as the call before reuses that
     call's phase sum, with the same result bytes.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
     h0, obs = _checked_parts(spec, initial, observable, hamiltonian)
-    # From 2**53 bins on, a draw of typical size has a phase position with no fraction of a bin.
-    if noise.width_rad * (grid.dt * _bin_count(grid.n_points) / math.tau) >= 2.0**53:
-        raise ValueError(
-            f"noise width {noise.width!r} is too wide for this grid: a typical draw's phase position "
-            "eta dt M / 2 pi reaches 2**53 bins and keeps no fraction of a bin"
-        )
+    _require_precision(spec, grid, noise)
     # Summed first: its work limit refuses an oversized grid before D(t) is built on it.
     chi = _phase_sum(noise, grid, n_realizations, seed)
     signal = _zero_noise_signal(h0, initial.matrix, obs, grid.points) * chi

@@ -75,10 +75,7 @@ class SpinSystemSpec:
             raise ValueError(f"expected {n_pairs} couplings for {self.n_spins} spins, got {len(self.j)}")
         if not (self.magnification >= 0.0 and math.isfinite(self.magnification)):
             raise ValueError(f"magnification must be finite and >= 0, got {self.magnification!r}")
-        # The bound caps every entry of H0 and, by Gershgorin, every line frequency; terms match the build_* products.
-        coupling_scale = self.scale * self.magnification
-        bound = 2.0 * (sum(abs(self.scale * x) for x in self.delta) + sum(abs(coupling_scale * x) for x in self.j))
-        if not math.isfinite(bound):
+        if not math.isfinite(self.frequency_bound):
             raise ValueError(
                 "offsets, and couplings times the magnification, must keep 2 * sum of |value| finite in rad/s; "
                 f"got delta = {self.delta}, j = {self.j}, magnification = {self.magnification!r}"
@@ -94,6 +91,13 @@ class SpinSystemSpec:
     def scale(self) -> float:
         """Hz -> rad/s conversion applied when matrices are assembled."""
         return 1.0 if self.angular_units else math.tau
+
+    @property
+    def frequency_bound(self) -> float:
+        """B = 2 (sum_i |delta_i| + m sum_ij |J_ij|) in rad/s: it caps every entry of H0 and, by Gershgorin,
+        every line frequency.  Its terms match the build_* products, and construction keeps it finite."""
+        coupling_scale = self.scale * self.magnification
+        return 2.0 * (sum(abs(self.scale * x) for x in self.delta) + sum(abs(coupling_scale * x) for x in self.j))
 
     def pairs(self) -> list[tuple[int, int, float]]:
         """Couplings as (i, j, J_ij in Hz) with i < j."""

@@ -156,6 +156,7 @@ class NoiseModel:
     angular_units: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "width", float(self.width))
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}, expected one of {NOISE_KINDS}")
         if not (self.width >= 0.0 and math.isfinite(self.width_rad * _REACH[self.kind])):

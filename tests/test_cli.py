@@ -242,15 +242,28 @@ class TestSimulate:
         assert result.returncode == 2
         assert result.stderr.startswith(message) and "Warning" not in result.stderr
 
-    @pytest.mark.parametrize("offset", ["1e306", "1e200"])
+    # On this 4 ms grid the line phases keep their digits (B t_max 2**-53 <= 1e-6 rad) up to about 6e10 Hz.
+    @pytest.mark.parametrize("offset", ["1e306", "1e200", "1e11"])
     @pytest.mark.parametrize("hamiltonian", ["effective", "heisenberg"])
-    def test_huge_offsets_run_without_warning(self, tmp_path, offset, hamiltonian):
+    def test_offsets_whose_line_phases_keep_no_digits_exit_2_without_warning(self, tmp_path, offset, hamiltonian):
         ini = tmp_path / "huge.ini"
         ini.write_text(
             SMALL_INI.replace("[system]\n", f"[system]\ndelta = {offset}, {offset}, {offset}\n")
             + f"[run]\nhamiltonian = {hamiltonian}\n"
         )
         result = run_cli("simulate", str(ini), "--output", str(tmp_path / "huge.csv"), cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: offsets and couplings too large for this grid")
+        assert "1e-06 rad bound" in result.stderr and "Warning" not in result.stderr
+        assert not (tmp_path / "huge.csv").exists()
+
+    @pytest.mark.parametrize("hamiltonian", ["effective", "heisenberg"])
+    def test_offsets_below_the_phase_digit_limit_run_without_warning(self, tmp_path, hamiltonian):
+        ini = tmp_path / "large.ini"
+        ini.write_text(
+            SMALL_INI.replace("[system]\n", "[system]\ndelta = 1e9, 1e9, 1e9\n") + f"[run]\nhamiltonian = {hamiltonian}\n"
+        )
+        result = run_cli("simulate", str(ini), "--output", str(tmp_path / "large.csv"), cwd=tmp_path)
         assert result.returncode == 0, result.stderr
         assert "Warning" not in result.stderr
 

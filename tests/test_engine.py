@@ -556,6 +556,57 @@ class TestZeroNoiseSignal:
         assert abs(signal[0] - np.trace(initial.matrix @ observable.ladder_matrix(spec.n_spins))) <= 1e-15
 
 
+def full_matrix_signal(h0: np.ndarray, rho: np.ndarray, obs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """D(t) as the engine once formed it: one eigh of the whole H0, every amplitude with abs(A) > 0."""
+    vals, vecs = np.linalg.eigh(h0)
+    vecs_h = vecs.conj().T
+    amplitudes = (vecs_h @ rho @ vecs) * (vecs_h @ obs @ vecs).T  # A_jk = rho_jk * O_kj
+    omega = vals[:, None] - vals[None, :]
+    mask = np.abs(amplitudes) > 0.0
+    return (amplitudes[mask][:, None] * np.exp(-1j * np.outer(omega[mask], t))).sum(axis=0)
+
+
+class TestSectorBlocks:
+    """D(t) from H0's magnetization-sector blocks equals the whole-matrix eigendecomposition."""
+
+    @pytest.mark.parametrize("n_spins", sorted(REGISTERS))
+    def test_sectors_partition_the_basis_by_total_magnetization(self, n_spins):
+        sectors = spinfid.engine._sectors(n_spins)
+        assert spinfid.engine._sectors(n_spins) is sectors
+        m = total_magnetization(n_spins)
+        assert len(sectors) == n_spins + 1
+        assert sorted(np.concatenate(sectors).tolist()) == list(range(2**n_spins))
+        for value, sector in enumerate(sectors):
+            assert (m[sector] == value - n_spins / 2).all() and (np.diff(sector) > 0).all()
+            assert not sector.flags.writeable
+
+    @pytest.mark.parametrize("kind", sorted(BUILD_NAMES))
+    @pytest.mark.parametrize("n_spins", sorted(REGISTERS))
+    def test_signal_matches_the_full_matrix_formula(self, n_spins, kind, default_grid):
+        delta, j, label = REGISTERS[n_spins]
+        for magnification in (0.0, 1.0, 2.0, 3.0, 5.0, 20.0):
+            for state in ("thermal", "pps"):
+                spec = SpinSystemSpec(n_spins, delta, j, polarization=-1.0 if state == "thermal" else 1.0,
+                                      magnification=magnification)
+                base = thermal_state(spec) if state == "thermal" else pps_state(spec, label)
+                initial = apply_pulse(base, PulseSpec(target=n_spins - 1))
+                h0 = getattr(spinfid.engine, BUILD_NAMES[kind])(spec, eta_z=0.0)
+                for observable in (ObservableSpec.single(n_spins - 1), ObservableSpec.total()):
+                    obs = observable.ladder_matrix(n_spins)
+                    want = full_matrix_signal(h0, initial.matrix, obs, default_grid.points)
+                    got = zero_noise_signal(spec, initial, default_grid, observable=observable, hamiltonian=kind)
+                    # Each path rounds the line phases w t on its own, by up to about B t_max 2**-53
+                    # (1.1e-13 rad for the four-spin register at m = 1).  There the two differ by 1.2e-13,
+                    # while a 40-digit evaluation of the same H0 puts this one 5.2e-14 and the whole-matrix
+                    # formula 6.8e-14 away: two roundings of opposite sign.
+                    error = np.max(np.abs(got - want)) / max(1.0, abs(want[0]))
+                    assert error <= 2e-13, (magnification, state, observable)
+
+    def test_state_with_no_single_quantum_coherence_gives_zero(self, default_system, default_grid):
+        signal = zero_noise_signal(default_system, thermal_state(default_system), default_grid)
+        assert signal.shape == (default_grid.n_points,) and not signal.any()
+
+
 class TestCachedPhaseSum:
     """Consecutive runs on one ensemble share one phase sum, with the same bytes as a fresh sum."""
 
@@ -852,14 +903,36 @@ class TestArgumentValidation:
                            n_realizations=1, hamiltonian=kind)
 
     @pytest.mark.parametrize("kind", sorted(BUILD_NAMES))
-    @pytest.mark.parametrize("offset", [1e306, 1e200])
-    def test_huge_offsets_evolve_without_warning(self, kind, offset, default_grid):
+    @pytest.mark.parametrize("offset", [1e306, 1e200, 1e11])
+    def test_offsets_whose_line_phases_keep_no_digits_are_refused_before_sampling(
+        self, monkeypatch, kind, offset, default_grid
+    ):
+        # Three equal offsets only turn D(t)'s phase, yet past B t_max 2**-53 = 1e-6 rad (about 1e10 Hz on
+        # the default grid) the rounded phases w t move |D|: by 1.1e-6 at 1e12 Hz and 0.39 at 1e18 Hz.
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a draw was sampled before the line phases were checked")
+
+        monkeypatch.setattr(NoiseModel, "sample_block", no_draws)
         spec = SpinSystemSpec(delta=(offset,) * 3, polarization=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trace = evolve_fid(spec, pulsed_pps(spec), NoiseModel("lorentzian", 28.0), default_grid,
+            with pytest.raises(ValueError, match=r"B t_max 2\*\*-53 = .* over the 1e-06 rad bound"):
+                evolve_fid(spec, pulsed_pps(spec), NoiseModel("lorentzian", 28.0), default_grid,
+                           n_realizations=10, hamiltonian=kind)
+            with pytest.raises(ValueError, match="1e-06 rad bound"):
+                zero_noise_signal(spec, pulsed_pps(spec), default_grid, hamiltonian=kind)
+
+    @pytest.mark.parametrize("kind", sorted(BUILD_NAMES))
+    def test_offsets_below_the_phase_digit_limit_run(self, kind, default_grid):
+        spec = SpinSystemSpec(delta=(1e9,) * 3, polarization=1.0, magnification=5.0)
+        stock = SpinSystemSpec(delta=(0.0,) * 3, polarization=1.0, magnification=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = evolve_fid(spec, pulsed_pps(spec), NoiseModel("white", 0.0), default_grid,
                                n_realizations=10, hamiltonian=kind)
-        assert np.isfinite(trace.mx).all() and np.isfinite(trace.my).all()
+        signal = zero_noise_signal(stock, pulsed_pps(stock), default_grid, hamiltonian=kind)
+        # Equal offsets turn the phase alone; at 1e9 Hz the rounded phases move |D| by about 2.3e-9.
+        assert np.max(np.abs(trace.mperp - np.abs(signal))) < 1e-7
 
     @pytest.mark.parametrize("kind", ["white", "gaussian", "lorentzian"])
     def test_width_whose_phase_positions_keep_no_fraction_is_refused_before_sampling(self, monkeypatch, kind):
@@ -1032,13 +1105,27 @@ PRESET_DIGESTS = {
         "fig1.csv": "5cde2cf3e376d53760f536179704b642122e7176c06f714d6c03d8d52f1569a0",
         "fig2-pps-x10.csv": "2dc2986da43710ab3d5627c87a9b932d4e485fa592bdc17b3bb3c8e78be9380c",
         "fig2-pps.csv": "d38713041bc9aaea607f94f6f9d7feb5f925221d86b953835c7306c1d5a2228d",
-        "fig2-thermal.csv": "1cdff68430b592fefc6c798c20f535bfc9ea626483aede173d316be13cfe647f",
+        "fig2-thermal.csv": "68f45b438164f1ca2b305ff49851157454e4a41e073ac7503ddbaa0f931e53bc",
         "fig3.csv": "b28631f17aca175a94a181192e34b1f06d84e29e76e34981a676e040f679847f",
         "fig4a_m1.csv": "3207d5045087cb76f55d4cf4f83b4922b055e58ea56e989f541ca0d1308ba987",
         "fig4a_m2p5.csv": "b7c195fe7e3ea8fdf7309ea02a1b68f6ff4d4cc6cb4331d63a69b18b3064ff57",
         "fig4a_m5.csv": "02d5fb1b64fe964d414f638b5a3f659b834c8d3538e371a031de2b392192e2af",
-        "fig4b.csv": "a5f7208cb57cf58ba331b5c82bc10e29437fcadb14a043bb0efd3018df1f21d4",
-        "sweep_m.csv": "1f0301a330e50c6a7e34cab8c043fb5fc7b8b6fea82751d3b3dbf85c854834d3",
+        "fig4b.csv": "1eec2e0de6e883db3a7728cc67defba085159d02ed73cd939eb53b5676644076",
+        "sweep_m.csv": "f50f225eae1c09a588510d86505869b3d596620c280990d905c9f185a601711d",
+        "sweep_width.csv": "8ec31c681cdd5e95067a95a9853a7dccb09ba9a5590b0d7171bdc9681e0320af",
+    },
+    # NPY_DISABLE_CPU_FEATURES=AVX512_SPR: the AVX512_ICL level, native on CPUs without AVX512_SPR.
+    ("2.4.6", "AVX512_ICL", "SkylakeX"): {
+        "fig1.csv": "5cde2cf3e376d53760f536179704b642122e7176c06f714d6c03d8d52f1569a0",
+        "fig2-pps-x10.csv": "2dc2986da43710ab3d5627c87a9b932d4e485fa592bdc17b3bb3c8e78be9380c",
+        "fig2-pps.csv": "d38713041bc9aaea607f94f6f9d7feb5f925221d86b953835c7306c1d5a2228d",
+        "fig2-thermal.csv": "68f45b438164f1ca2b305ff49851157454e4a41e073ac7503ddbaa0f931e53bc",
+        "fig3.csv": "b28631f17aca175a94a181192e34b1f06d84e29e76e34981a676e040f679847f",
+        "fig4a_m1.csv": "3207d5045087cb76f55d4cf4f83b4922b055e58ea56e989f541ca0d1308ba987",
+        "fig4a_m2p5.csv": "b7c195fe7e3ea8fdf7309ea02a1b68f6ff4d4cc6cb4331d63a69b18b3064ff57",
+        "fig4a_m5.csv": "02d5fb1b64fe964d414f638b5a3f659b834c8d3538e371a031de2b392192e2af",
+        "fig4b.csv": "1eec2e0de6e883db3a7728cc67defba085159d02ed73cd939eb53b5676644076",
+        "sweep_m.csv": "f50f225eae1c09a588510d86505869b3d596620c280990d905c9f185a601711d",
         "sweep_width.csv": "8ec31c681cdd5e95067a95a9853a7dccb09ba9a5590b0d7171bdc9681e0320af",
     },
     # Every dispatch target off and OPENBLAS_CORETYPE=Prescott, whose kernel set OpenBLAS names Katmai.
@@ -1046,13 +1133,13 @@ PRESET_DIGESTS = {
         "fig1.csv": "17e6c0d15d76ca0271654ba8e4d1ee027c32cf25e278290b996248efaa6da0bd",
         "fig2-pps-x10.csv": "2e9d91a60b5440fbda60ae6e4c0bb29fd6704d27459ada9aaf50073b3ed17d42",
         "fig2-pps.csv": "7210c8bb337e51041711f7b550bb29c9db26772465c3547d068085bee3632733",
-        "fig2-thermal.csv": "257656580c67f25e3b3b5f0de61f3684cdb136cf39a4b8f1ea4a16dd06bbcd36",
+        "fig2-thermal.csv": "af27945459b4e2da5b5b0f1f1ecde990ac323bad72e2725dcc95e49abd6430f2",
         "fig3.csv": "629966427aaa9165bbe0583cee8e59e8253105d9a14f1e0bcbd20e9e433c1170",
         "fig4a_m1.csv": "d8c7695e8516ea87c1c5e732d50c97b9f3b0c56161c56b5b0e899cb904440634",
         "fig4a_m2p5.csv": "c413dee115d55268b6493bdefe0606a7fa74dba477d8d14b3693a7fe97ab9a9b",
         "fig4a_m5.csv": "d45e8b214ba3af24c6f6c7f5d013babec5f0958755492855b2b6093ce85604f6",
-        "fig4b.csv": "4c47e400bfc9bf9cee9ed476bdc26381621b87ddf51e911be2440eaae32aadca",
-        "sweep_m.csv": "8a913dd84fbb821727e6c282f045ee2645333fecf8db856b71ddca6bca9ccfcb",
+        "fig4b.csv": "7c1270cbfea88db7b5afe2d55d20c861beaea5b0177cb55ef890a6c59bac7403",
+        "sweep_m.csv": "9d2c34e0018bbe1bc2af7834539c379be282f1ecda8385d35c8ce80cabf66a7c",
         "sweep_width.csv": "a178666f86a8569a55f0a92fef6e19050f0ae5022605f0ae47022f75b4890754",
     },
 }

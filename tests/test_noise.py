@@ -45,6 +45,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite in rad/s"):
             NoiseModel(kind, width)
 
+    def test_numpy_scalar_width_that_overflows_is_refused_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite in rad/s"):
+                NoiseModel("lorentzian", np.float64(1e308))
+
+    def test_numpy_scalar_width_is_stored_as_a_float(self):
+        model = NoiseModel("white", np.float64(28.0))
+        assert type(model.width) is float and model == NoiseModel("white", 28.0)
+
     # The largest |quantile| over the clamped draws u in [2**-54, 1 - 2**-53], and the largest width in Hz it allows.
     REACH = {"white": (1.0, 2.86e307), "gaussian": (8.29, 3.45e306), "lorentzian": (3.53e15, 8.10e291)}
 
