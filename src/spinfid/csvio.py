@@ -71,8 +71,11 @@ def write_csv(path: str, columns: Mapping[str, np.ndarray], metadata: Mapping[st
     """Write named float64 columns plus trailing metadata comments.
 
     The header is the mapping's keys in order: the shape ``load_csv(path).columns`` returns.
-    A column of any other dtype is refused, since the loader reads every cell back as a float.
+    A column of any other dtype is refused, since the loader reads every cell back as a float, and so is
+    an empty mapping, whose file would have no header for the loader to read.
     """
+    if not columns:
+        raise ValueError("no columns to write; a table needs at least one")
     arrays = [np.asarray(column) for column in columns.values()]
     for name, array in zip(columns, arrays):
         if array.dtype != np.float64:

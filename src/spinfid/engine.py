@@ -30,11 +30,21 @@ lines of roundoff size that one eigh of the whole H0 leaves between other
 sectors never enter.  This reads only H0's diagonal blocks and
 O's (m + 1, m) blocks, and those are exactly the two conditions checked on
 every call: any H0 entry joining different m, or O entry not raising m by
-one, must vanish relative to the largest entry of its matrix, else
-evolve_fid raises ValueError instead of returning a wrong answer.
-SpinSystemSpec's bound B keeps H0 and each w finite, and a grid on which
-B t_max 2**-53 exceeds 1e-6 rad, so that the phases w t keep too few
-digits, is refused as well.
+one, must vanish relative to the largest entry of its matrix.
+
+evolve_fid returns zero_noise_signal's D(t) times the phase sum R chi,
+divided by R, formed in that order.  Each refusal is a ValueError raised
+before any draw and any grid-sized array, and each is stated once.
+zero_noise_signal states those of D(t): a state whose dimension is not
+the spec's, an unknown Hamiltonian kind, the two sector conditions above,
+a grid on which B t_max 2**-53 exceeds 1e-6 rad, so that the line phases
+w t keep too few digits (SpinSystemSpec's bound B keeps H0 and each w
+finite), and a grid of more than 524 288 points, the largest whose
+phase-sum histogram fits its bound.  evolve_fid states, before it calls
+zero_noise_signal, those of the ensemble: fewer than one realization, a
+noise width whose typical draw sits 2**53 bins or more from the origin,
+where its phase position keeps no fraction of a bin, and a phase sum over
+the work limit.  The phase sum itself refuses nothing.
 
 Shared phase sum: R chi depends only on the noise model, the grid, the
 realization count and the seed, not on the spins, the state, the pulse,
@@ -133,17 +143,16 @@ _TAYLOR_TERMS = 20
 _FINISH_ROWS = 5
 
 # Refuse a phase sum that would add more bincount entries plus chunk-histogram
-# cells than _MAX_WORK_CELLS (R * _TAYLOR_TERMS + chunks * _TAYLOR_TERMS * M),
-# or whose (_TAYLOR_TERMS, M) histogram would hold more than
-# _MAX_HISTOGRAM_CELLS.  The work bound caps time but not memory: one draw on
-# a huge grid does little work yet needs the whole histogram (8 bytes a cell).
-# M <= 2^20 (grids up to 524 288 points, 128 times the largest preset grid)
-# gives about 168 MB of histogram.  The finish adds one block of _FINISH_ROWS
-# spectra of M / 2 + 1 modes (about 42 MB at this bound) and a few O(n) rows
-# (the weight row and the sum, about 8.4 MB each), and no table is kept
-# between calls.
+# cells than _MAX_WORK_CELLS (R * _TAYLOR_TERMS + chunks * _TAYLOR_TERMS * M).
+# That caps time but not memory: one draw on a huge grid does little work yet
+# needs the whole (_TAYLOR_TERMS, M) histogram (8 bytes a cell).  So a grid of
+# more than _MAX_GRID_POINTS (128 times the largest preset grid) is refused as
+# well: its M <= 2^20 gives about 168 MB of histogram.  The finish adds one
+# block of _FINISH_ROWS spectra of M / 2 + 1 modes (about 42 MB at this bound)
+# and a few O(n) rows (the weight row and the sum, about 8.4 MB each), and no
+# table is kept between calls.
 _MAX_WORK_CELLS = 20_000_000_000
-_MAX_HISTOGRAM_CELLS = _TAYLOR_TERMS << 20
+_MAX_GRID_POINTS = 1 << 19
 
 # Relative tolerance of the run-time checks behind the D(t) chi(t) factorisation.
 _FACTORISATION_TOL = 1e-9
@@ -285,10 +294,10 @@ def _sectors(n_spins: int) -> tuple[np.ndarray, ...]:
     return tuple(np.split(order, np.flatnonzero(np.diff(m[order])) + 1))
 
 
-def _require_factorisation(h0: np.ndarray, obs: np.ndarray, n_spins: int) -> None:
+def _require_factorisation(h0: np.ndarray, obs: np.ndarray) -> None:
     """Raise unless H0 keeps and O raises by one the total I_z of each basis state (see the module docstring)."""
-    m = np.zeros(2**n_spins)  # m_j: total I_z of basis state j, less the lowest m
-    for value, sector in enumerate(_sectors(n_spins)):
+    m = np.zeros(h0.shape[0])  # m_j: total I_z of basis state j, less the lowest m
+    for value, sector in enumerate(_sectors(h0.shape[0].bit_length() - 1)):
         m[sector] = value
     step = m[:, None] - m[None, :]  # [sum_i I_iz, A]_jk = step_jk A_jk for any A
     for matrix, kept, refusal in (
@@ -320,25 +329,6 @@ def _bin_count(n_points: int) -> int:
     return 1 << (2 * n_points - 1).bit_length()
 
 
-def _require_precision(spec: SpinSystemSpec, grid: TimeGrid, noise: NoiseModel | None = None) -> None:
-    """Raise unless the grid's phases keep their digits: D(t)'s line phases w t and, given ``noise``,
-    the draws' phase positions eta dt M / 2 pi."""
-    # |w| <= B, so a phase w t on the grid is rounded by up to B t_max 2**-53 rad.
-    phase_error = spec.frequency_bound * grid.t_max * 2.0**-53
-    if not phase_error <= _MAX_PHASE_ERROR:
-        raise ValueError(
-            f"offsets and couplings too large for this grid: their bound B = {spec.frequency_bound:.3g} rad/s "
-            f"gives line phases w t a rounding error B t_max 2**-53 = {phase_error:.4g} rad, over the "
-            f"{_MAX_PHASE_ERROR:g} rad bound"
-        )
-    # From 2**53 bins on, a draw of typical size has a phase position with no fraction of a bin.
-    if noise is not None and noise.width_rad * (grid.dt * _bin_count(grid.n_points) / math.tau) >= 2.0**53:
-        raise ValueError(
-            f"noise width {noise.width!r} is too wide for this grid: a typical draw's phase position "
-            "eta dt M / 2 pi reaches 2**53 bins and keeps no fraction of a bin"
-        )
-
-
 @functools.lru_cache(maxsize=1)
 def _phase_sum(noise: NoiseModel, grid: TimeGrid, n_realizations: int, seed: int) -> np.ndarray:
     """Read-only R chi(t_k) = sum_r exp(i eta_r t_k) on the grid, by a type-1 NUFFT (see the module docstring).
@@ -348,13 +338,6 @@ def _phase_sum(noise: NoiseModel, grid: TimeGrid, n_realizations: int, seed: int
     n = grid.n_points
     m = _bin_count(n)
     terms = _TAYLOR_TERMS
-    work = n_realizations * terms + -(-n_realizations // _CHUNK_DRAWS) * terms * m
-    if work > _MAX_WORK_CELLS or terms * m > _MAX_HISTOGRAM_CELLS:
-        raise ValueError(
-            f"requested {n_realizations} realizations x {n} grid points needs {work} "
-            f"bincount entries and histogram cells and a {terms} x {m} histogram, over the "
-            f"work limit of {_MAX_WORK_CELLS} cells or {_MAX_HISTOGRAM_CELLS} histogram cells"
-        )
     bins_per_rad = m / math.tau
     # Row p of the histogram sums f_r^p over the draws in each bin.
     hist = np.zeros((terms, m))
@@ -387,22 +370,6 @@ def _phase_sum(noise: NoiseModel, grid: TimeGrid, n_realizations: int, seed: int
     return chi
 
 
-def _checked_parts(
-    spec: SpinSystemSpec, initial: DensityMatrix, observable: ObservableSpec | None, hamiltonian: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """H0 = H(eta = 0) and the ladder observable O, once the D(t) chi(t) factorisation is checked."""
-    if initial.dim != spec.dim:
-        raise ValueError(f"state dimension {initial.dim} does not match spec dimension {spec.dim}")
-    if hamiltonian not in HAMILTONIAN_KINDS:
-        raise ValueError(f"hamiltonian must be one of {HAMILTONIAN_KINDS}, got {hamiltonian!r}")
-    observable = observable if observable is not None else ObservableSpec.single(spec.n_spins - 1)
-    obs = observable.ladder_matrix(spec.n_spins)
-    build = build_effective if hamiltonian == "effective" else build_rotating_heisenberg
-    h0 = build(spec, eta_z=0.0)  # finite: SpinSystemSpec bounds every entry
-    _require_factorisation(h0, obs, spec.n_spins)
-    return h0, obs
-
-
 def zero_noise_signal(
     spec: SpinSystemSpec,
     initial: DensityMatrix,
@@ -413,12 +380,31 @@ def zero_noise_signal(
     """D(t) on the grid: the complex signal mx + i my of one realization with eta = 0.
 
     Every realization's signal is D(t) exp(i eta_r t), so ``evolve_fid``
-    returns D(t) chi(t).  Raises ValueError where that factorisation
-    fails or the line phases on the grid keep too few digits, exactly as
-    ``evolve_fid`` does.
+    returns D(t) chi(t).  Raises ValueError, before any grid-sized array,
+    where the state does not fit the spec, the Hamiltonian kind is
+    unknown, the factorisation fails, the line phases on the grid keep too
+    few digits (once B t_max 2**-53 exceeds 1e-6 rad, B =
+    ``spec.frequency_bound``), or the grid has more than 524 288 points.
     """
-    h0, obs = _checked_parts(spec, initial, observable, hamiltonian)
-    _require_precision(spec, grid)
+    if initial.dim != spec.dim:
+        raise ValueError(f"state dimension {initial.dim} does not match spec dimension {spec.dim}")
+    if hamiltonian not in HAMILTONIAN_KINDS:
+        raise ValueError(f"hamiltonian must be one of {HAMILTONIAN_KINDS}, got {hamiltonian!r}")
+    observable = observable if observable is not None else ObservableSpec.single(spec.n_spins - 1)
+    obs = observable.ladder_matrix(spec.n_spins)
+    build = build_effective if hamiltonian == "effective" else build_rotating_heisenberg
+    h0 = build(spec, eta_z=0.0)  # finite: SpinSystemSpec bounds every entry
+    _require_factorisation(h0, obs)
+    # |w| <= B, so a phase w t on the grid is rounded by up to B t_max 2**-53 rad.
+    phase_error = spec.frequency_bound * grid.t_max * 2.0**-53
+    if not phase_error <= _MAX_PHASE_ERROR:
+        raise ValueError(
+            f"offsets and couplings too large for this grid: their bound B = {spec.frequency_bound:.3g} rad/s "
+            f"gives line phases w t a rounding error B t_max 2**-53 = {phase_error:.4g} rad, over the "
+            f"{_MAX_PHASE_ERROR:g} rad bound"
+        )
+    if grid.n_points > _MAX_GRID_POINTS:
+        raise ValueError(f"a grid of {grid.n_points} points is over the work limit of {_MAX_GRID_POINTS} points")
     return _zero_noise_signal(h0, initial.matrix, obs, grid.points)
 
 
@@ -432,24 +418,31 @@ def evolve_fid(
     seed: int = DEFAULT_SEED,
     hamiltonian: str = "effective",
 ) -> FidTrace:
-    """Ensemble-averaged FID of ``initial`` under the chosen Hamiltonian.
+    """Ensemble-averaged FID of ``initial`` under the chosen Hamiltonian: D(t) chi(t).
 
-    Raises ValueError if the Hamiltonian does not conserve total I_z or
-    the observable is not single-quantum, since the D(t) chi(t)
-    factorisation would then give a wrong answer, and where the phases
-    on the grid keep too few digits: the line phases once B t_max 2**-53
-    exceeds 1e-6 rad (B = ``spec.frequency_bound``), or a typical draw's
-    phase position once it reaches 2**53 bins.  A call on the same
-    (noise, grid, n_realizations, seed) as the call before reuses that
-    call's phase sum, with the same result bytes.
+    Raises ValueError, before any draw, wherever ``zero_noise_signal``
+    does, and for fewer than one realization, a noise width whose typical
+    draw reaches 2**53 bins of the phase sum, or a phase sum over the work
+    limit.  A call on the same (noise, grid, n_realizations, seed) as the
+    call before reuses that call's phase sum, with the same result bytes.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-    h0, obs = _checked_parts(spec, initial, observable, hamiltonian)
-    _require_precision(spec, grid, noise)
-    # Summed first: its work limit refuses an oversized grid before D(t) is built on it.
-    chi = _phase_sum(noise, grid, n_realizations, seed)
-    signal = _zero_noise_signal(h0, initial.matrix, obs, grid.points) * chi
+    bins = _bin_count(grid.n_points)
+    # From 2**53 bins on, a draw of typical size has a phase position with no fraction of a bin.
+    if noise.width_rad * (grid.dt * bins / math.tau) >= 2.0**53:
+        raise ValueError(
+            f"noise width {noise.width!r} is too wide for this grid: a typical draw's phase position "
+            "eta dt M / 2 pi reaches 2**53 bins and keeps no fraction of a bin"
+        )
+    work = (n_realizations + -(-n_realizations // _CHUNK_DRAWS) * bins) * _TAYLOR_TERMS
+    if work > _MAX_WORK_CELLS:
+        raise ValueError(
+            f"requested {n_realizations} realizations x {grid.n_points} grid points needs {work} "
+            f"bincount entries and histogram cells, over the work limit of {_MAX_WORK_CELLS}"
+        )
+    d = zero_noise_signal(spec, initial, grid, observable, hamiltonian)  # its refusals come before any draw
+    signal = d * _phase_sum(noise, grid, n_realizations, seed)
     signal /= n_realizations
 
     return FidTrace(

@@ -9,9 +9,10 @@ Conventions used throughout the package:
   |b0 b1 ... b_{n-1}> maps to the row index with b0 as the most
   significant bit, and |0> is the sigma_z eigenstate with eigenvalue +1.
 
-Matrix exponentials of Hermitian generators are evaluated through an
-eigendecomposition, which keeps each exp(-i H t) unitary to machine
-precision for the 8x8 problems this package targets.
+Matrix exponentials of Hermitian generators are evaluated by scaling and
+squaring a Taylor polynomial, with no eigensolver, so that the per-draw
+propagation built on them is a reference independent of the engine's
+eigh of each magnetization sector.
 
 ``spin_operators(n)`` builds every site's I_x, I_y, I_z once per register
 size.  Every Hamiltonian, readout and thermal state shares that table, so
@@ -21,6 +22,7 @@ it is read-only: one caller's write would change every later run.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,11 +101,23 @@ def spin_operators(n_spins: int) -> np.ndarray:
 
 
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """Exact unitary exp(-i h t) for Hermitian ``h`` via eigendecomposition; the returned array is read-only."""
-    require_square(h)
+    """Unitary exp(-i h t) for Hermitian ``h``, with no eigensolver; the returned array is read-only.
+
+    Scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 3 (2003), method 3): A = -i h t / 2**s
+    with the least s >= 0 that brings ||A||_1 to at most 1/2, exp(A) from its degree-18 Taylor
+    polynomial in Horner form (the first omitted term is below 2**-19 / 19! = 1.6e-23), then s squarings.
+    """
+    dim = require_square(h)
     require_hermitian(h)
-    vals, vecs = np.linalg.eigh(h)
-    u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+    a = (-1j * t) * np.asarray(h, dtype=complex)
+    squarings = max(0, math.frexp(2.0 * np.abs(a).sum(axis=0).max())[1])
+    a /= 2.0**squarings
+    eye = np.eye(dim, dtype=complex)
+    u = eye
+    for k in range(18, 0, -1):  # I + A (I + A / 2 (... (I + A / 18)))
+        u = eye + (a @ u) / k
+    for _ in range(squarings):
+        u = u @ u
     u.setflags(write=False)
     return u
 

@@ -5,7 +5,8 @@ and exercises a cross-cutting invariant rather than a stored expected
 value: operator algebra, propagator unitarity, Hamiltonian structure,
 state spectra, noise-sampler determinism and statistics, agreement of
 the exchange-coupled engine with per-draw propagation, bit identity of
-an exchange-coupled trace rerun on its cached phase sum, coupling
+an exchange-coupled trace rerun on its cached phase sum and its agreement
+with the direct phase sum over the same draws, coupling
 invariance of the pseudo-pure modulus, and config/CSV round-trips.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 from .analytic import fid_pps_single, fid_thermal_single
 from .config import parse_config, serialize_config
 from .csvio import emit_trace_csv, load_csv
-from .engine import ObservableSpec, TimeGrid, _chunk_bounds, _phase_sum, evolve_fid
+from .engine import ObservableSpec, TimeGrid, _chunk_bounds, _phase_sum, evolve_fid, zero_noise_signal
 from .experiments import PRESET_NAMES, preset_config, run_experiment
 from .hamiltonians import (
     SpinSystemSpec,
@@ -207,14 +208,15 @@ def _check_path_agreement() -> str:
 def _check_cached_phase_sum() -> str:
     # The path of the fig4a and fig4b presets: exchange-coupled runs on one ensemble share one phase sum.
     spec = SpinSystemSpec(polarization=1.0, magnification=5.0)
-    grid = TimeGrid()
+    grid = TimeGrid(n_points=97)
     noise = NoiseModel()
     initial = apply_pulse(pps_state(spec), PulseSpec(target=2))
     n_draws, seed = 10_000, 5
     chunks = len(_chunk_bounds(n_draws))
     if chunks < 3:
         raise AssertionError(f"{chunks} chunks; at least 3 are needed to exercise the chunked reduction")
-    kwargs = dict(observable=ObservableSpec.total(), n_realizations=n_draws, seed=seed, hamiltonian="heisenberg")
+    observable, hamiltonian = ObservableSpec.total(), "heisenberg"
+    kwargs = dict(observable=observable, n_realizations=n_draws, seed=seed, hamiltonian=hamiltonian)
     _phase_sum.cache_clear()
     own = evolve_fid(spec, initial, noise, grid, **kwargs)
     cached = evolve_fid(spec, initial, noise, grid, **kwargs)
@@ -223,7 +225,19 @@ def _check_cached_phase_sum() -> str:
         raise AssertionError(f"two runs on one ensemble made {info.misses} phase sums and {info.hits} cache hits")
     if own.mx.tobytes() != cached.mx.tobytes() or own.my.tobytes() != cached.my.tobytes():
         raise AssertionError("the cached phase sum changed the trace")
-    return f"heisenberg trace at m=5 rerun on its cached phase sum is bit-identical over {chunks} chunks"
+    # Independent reference: D(t) times the direct sum of exp(i eta_r t) over the same draws, over R.
+    signal = zero_noise_signal(spec, initial, grid, observable=observable, hamiltonian=hamiltonian)
+    etas = noise.sample_block(seed, 0, n_draws)
+    direct = np.array([np.exp(1j * etas * t).sum() for t in grid.points])  # one grid point at a time: no R x n table
+    worst = _within(
+        "trace's deviation from the direct phase sum",
+        own.mx + 1j * own.my - signal * direct / n_draws,
+        1e-12 * max(1.0, abs(signal[0])),
+    )
+    return (
+        f"heisenberg trace at m=5 rerun on its cached phase sum is bit-identical over {chunks} chunks "
+        f"and within {worst:.2g} of the direct phase sum"
+    )
 
 
 def _check_coupling_invariance() -> str:

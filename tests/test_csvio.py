@@ -233,6 +233,13 @@ class TestWriterValidation:
         with pytest.raises(ValueError):
             write_csv(str(tmp_path / "x.csv"), {"a": np.zeros(3), "b": np.zeros(4)})
 
+    def test_empty_mapping_is_refused_before_the_file_is_opened(self, tmp_path):
+        # Its file would hold a blank header line, which load_csv refuses as an empty file.
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="no columns"):
+            write_csv(str(path), {}, {"seed": 1})
+        assert not path.exists()
+
     def test_oracle_shape_mismatch(self, sample_trace, tmp_path):
         with pytest.raises(ValueError):
             emit_trace_csv(

@@ -890,6 +890,32 @@ class TestArgumentValidation:
             evolve_fid(spec, pulsed_pps(spec), NoiseModel("lorentzian", 28.0),
                        TimeGrid(n_points=n_points), n_realizations=n_realizations)
 
+    def test_grids_over_the_histogram_bound_are_refused_before_any_grid_sized_array(self, monkeypatch):
+        # The largest grid runs: one spin has one line, so its D(t) takes about 20 MB.
+        delta, j, label = REGISTERS[1]
+        one = SpinSystemSpec(1, delta, j, polarization=1.0)
+        initial = apply_pulse(pps_state(one, label), PulseSpec(target=0))
+        signal = zero_noise_signal(one, initial, TimeGrid(n_points=524_288), observable=ObservableSpec.single(0))
+        assert signal.shape == (524_288,) and np.isfinite(signal).all()
+
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("a grid-sized array was built before the grid size was checked")
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a draw was sampled before the grid size was checked")
+
+        spec = SpinSystemSpec(polarization=1.0)
+        initial = pulsed_pps(spec)
+        monkeypatch.setattr(np, "linspace", no_arrays)
+        monkeypatch.setattr(NoiseModel, "sample_block", no_draws)
+        # 2 * 10**8 points would take 1.6 GB of grid and about 29 GB of D(t)'s nine-line table.
+        for n_points in (524_289, 2 * 10**8):
+            grid = TimeGrid(n_points=n_points)
+            with pytest.raises(ValueError, match="work limit of 524288 points"):
+                zero_noise_signal(spec, initial, grid)
+            with pytest.raises(ValueError, match="work limit"):
+                evolve_fid(spec, initial, NoiseModel("lorentzian", 28.0), grid, n_realizations=1)
+
     @pytest.mark.parametrize("kind", sorted(BUILD_NAMES))
     @pytest.mark.parametrize("offset", [1.5e307, 2e307])
     def test_system_whose_bound_overflows_is_refused_at_construction(self, kind, offset, default_grid):
