@@ -19,9 +19,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .config import ConfigError, parse_config_file
+from .config import ConfigError, _parse_float_list, parse_config_file
 from .csvio import write_csv
 from .experiments import (
     PRESET_NAMES,
@@ -86,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--config", help="base run configuration file")
     source.add_argument("--preset", choices=PRESET_NAMES, help="base preset name")
     p_sweep.add_argument("--param", choices=SWEEP_PARAMS, required=True, help="parameter to sweep")
-    p_sweep.add_argument("--values", required=True, help="comma-separated non-negative values")
+    p_sweep.add_argument("--values", required=True, help="comma-separated finite non-negative values")
     _add_run_overrides(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -140,14 +138,11 @@ def _cmd_preset(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_values(raw: str) -> np.ndarray:
+def _parse_values(raw: str) -> tuple[float, ...]:
     try:
-        values = np.array([float(piece) for piece in raw.split(",") if piece.strip()])
+        return _parse_float_list(raw)
     except ValueError:
-        raise ConfigError(f"--values: expected comma-separated numbers, got {raw!r}") from None
-    if values.size == 0:
-        raise ConfigError("--values: need at least one value")
-    return values
+        raise ConfigError(f"--values: expected comma-separated finite numbers, got {raw!r}") from None
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -38,11 +38,13 @@ is an unsigned 64-bit decimal.  Every key is optional and falls back to
 the documented default (the readout ``observable`` defaults to the
 pulsed spin, ``single:<pulse_target>``), but unknown sections or keys
 are an error, as is any malformed or empty value (an empty ``delta`` or
-``j`` is the empty list).  Each key's reader is a one-argument converter
-that raises ``ValueError``; the section reader reports any such failure
-as one ``ConfigError`` worded ``[section] key: <reason>``.
-``serialize_config`` writes every field explicitly with round-trippable
-number formatting, so parse(serialize(c)) == c.
+``j`` is the empty list).  One table, ``_KEYS``, states every key once,
+in document order, with the reader of its value and the ``RunConfig``
+attribute it sets.  Each reader is a one-argument converter that raises
+``ValueError``; the section reader reports any such failure as one
+``ConfigError`` worded ``[section] key: <reason>``.  ``serialize_config``
+walks the same table and writes every attribute back with the text its
+reader turns into that value, so parse(serialize(c)) == c.
 """
 
 from __future__ import annotations
@@ -50,13 +52,14 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
-from .engine import DEFAULT_N_REALIZATIONS, DEFAULT_SEED, HAMILTONIAN_KINDS, ObservableSpec, TimeGrid
+from .engine import DEFAULT_N_REALIZATIONS, DEFAULT_SEED, ObservableSpec, TimeGrid, _check_run
 from .hamiltonians import SpinSystemSpec
 from .noise import NOISE_KINDS, NoiseModel
-from .states import STOCK_LABEL, PulseSpec, parse_label
+from .states import STOCK_LABEL, PulseSpec, _pps_index
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file", "serialize_config", "config_hash"]
 
@@ -101,14 +104,11 @@ class RunConfig:
             raise ConfigError(f"state kind must be one of {STATE_KINDS}, got {self.state_kind!r}")
         if self.system.angular_units != self.noise.angular_units:
             raise ConfigError("system and noise must agree on angular_units, as the one [system] key sets both")
-        if self.hamiltonian not in HAMILTONIAN_KINDS:
-            raise ConfigError(f"hamiltonian must be one of {HAMILTONIAN_KINDS}, got {self.hamiltonian!r}")
+        _check_run(self.hamiltonian, self.n_realizations)
         if self.state_kind == "pps":
-            parse_label(self.label, self.system.n_spins)
+            _pps_index(self.system, self.label)
         if not 0 <= self.seed <= MAX_SEED:
             raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
-        if self.n_realizations < 1:
-            raise ConfigError(f"n_realizations must be >= 1, got {self.n_realizations}")
         # Fail on out-of-range targets here rather than mid-run.  The pulse
         # comes first: the readout defaults to the pulsed spin.
         if self.pulse.target >= self.system.n_spins:
@@ -126,12 +126,10 @@ def _parse_float(raw: str) -> float:
 
 
 def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {raw!r}") from None
 
 
 def _parse_float_list(raw: str) -> tuple[float, ...]:
@@ -162,31 +160,40 @@ def _parse_observable(raw: str) -> ObservableSpec:
     raise ValueError(f"expected 'total' or 'single:<spin>', got {raw!r}")
 
 
-# Every key a document may set, with the reader of its value: a one-argument
-# converter that raises ValueError.  A key that names a field of the
-# dataclass behind its section is passed on as is.
-_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
+# Every key a document may set, in document order, with the reader of its
+# value (a one-argument converter that raises ValueError) and the getter of
+# the RunConfig attribute that serialize_config writes back.  A key that
+# names a field of the dataclass behind its section is passed on as is.
+# omega0 and coupling_form set no field of their own and are never written.
+_KEYS: dict[str, dict[str, tuple[Callable[[str], object], Callable[[RunConfig], object] | None]]] = {
     "system": {
-        "n_spins": int,
-        "delta": _parse_float_list,
-        "j": _parse_float_list,
-        "polarization": _parse_float,
-        "magnification": _parse_float,
-        "omega0": _parse_float,
-        "coupling_form": _parse_choice(tuple(_COUPLING_FORMS)),
-        "angular_units": _parse_bool,
+        "n_spins": (int, attrgetter("system.n_spins")),
+        "delta": (_parse_float_list, attrgetter("system.delta")),
+        "j": (_parse_float_list, attrgetter("system.j")),
+        "polarization": (_parse_float, attrgetter("system.polarization")),
+        "magnification": (_parse_float, attrgetter("system.magnification")),
+        "omega0": (_parse_float, None),
+        "coupling_form": (_parse_choice(tuple(_COUPLING_FORMS)), None),
+        "angular_units": (_parse_bool, attrgetter("system.angular_units")),
     },
-    "noise": {"kind": _parse_choice(NOISE_KINDS), "width": _parse_float},
+    "noise": {
+        "kind": (_parse_choice(NOISE_KINDS), attrgetter("noise.kind")),
+        "width": (_parse_float, attrgetter("noise.width")),
+    },
     "state": {
-        "kind": _parse_choice(STATE_KINDS),
-        "label": str,
-        "pulse_target": int,
-        "pulse_axis": _parse_word,
-        "pulse_angle": _parse_float,
+        "kind": (_parse_choice(STATE_KINDS), attrgetter("state_kind")),
+        "label": (str, attrgetter("label")),
+        "pulse_target": (int, attrgetter("pulse.target")),
+        "pulse_axis": (_parse_word, attrgetter("pulse.axis")),
+        "pulse_angle": (_parse_float, attrgetter("pulse.angle")),
     },
-    "grid": {"t_max": _parse_float, "n_points": int},
-    "ensemble": {"n_realizations": int, "seed": int},
-    "run": {"hamiltonian": _parse_word, "observable": _parse_observable, "output": str},
+    "grid": {"t_max": (_parse_float, attrgetter("grid.t_max")), "n_points": (int, attrgetter("grid.n_points"))},
+    "ensemble": {"n_realizations": (int, attrgetter("n_realizations")), "seed": (int, attrgetter("seed"))},
+    "run": {
+        "hamiltonian": (_parse_word, attrgetter("hamiltonian")),
+        "observable": (_parse_observable, attrgetter("observable")),
+        "output": (str, attrgetter("output")),
+    },
 }
 
 
@@ -198,7 +205,7 @@ def _read_section(parser: configparser.ConfigParser, section: str) -> dict[str, 
     for key, raw in parser[section].items():
         if key not in _KEYS[section]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        read = _KEYS[section][key]
+        read, _ = _KEYS[section][key]
         try:
             if not raw and read is not _parse_float_list:
                 raise ValueError("empty value; omit the key to take its default")
@@ -277,9 +284,7 @@ def parse_config(text: str) -> RunConfig:
             observable=run.get("observable", ObservableSpec.single(state["pulse_target"])),
             output=run.get("output"),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError too, with its message kept
         raise ConfigError(str(exc)) from None
 
 
@@ -292,52 +297,42 @@ def parse_config_file(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
+def _format(read: Callable[[str], object], value: object) -> str:
+    """The text that ``read`` turns back into ``value``."""
+    if read is _parse_float:
+        return repr(float(value))
+    if read is _parse_float_list:
+        return ", ".join(repr(float(x)) for x in value)
+    if read is _parse_bool:
+        return "true" if value else "false"
+    if read is _parse_observable:
+        return "total" if value.kind == "total" else f"single:{value.index}"
+    return str(value)
+
+
+# The keys config_hash covers: every key but [run] output, which names where a run writes, not what it computes.
+_HASHED_KEYS = {**_KEYS, "run": {key: entry for key, entry in _KEYS["run"].items() if key != "output"}}
+
+
+def _document(config: RunConfig, table: dict) -> str:
+    """The keys of ``table`` that ``config`` sets, each with the text its reader turns into the value."""
+    lines = []
+    for section, keys in table.items():
+        lines.append(f"[{section}]")
+        for key, (read, get) in keys.items():
+            value = None if get is None else get(config)
+            if value is not None:
+                text = _format(read, value)
+                lines.append(f"{key} = {text}" if text or read is not _parse_float_list else f"{key} =")
+        lines.append("")
+    return "\n".join(lines)
 
 
 def serialize_config(config: RunConfig) -> str:
-    """Render a config with every field explicit; inverse of parse_config."""
-    system = config.system
-    lines = [
-        "[system]",
-        f"n_spins = {system.n_spins}",
-        f"delta = {', '.join(_format_float(x) for x in system.delta)}",
-        f"j = {', '.join(_format_float(x) for x in system.j)}" if system.j else "j =",
-        f"polarization = {_format_float(system.polarization)}",
-        f"magnification = {_format_float(system.magnification)}",
-        f"angular_units = {'true' if system.angular_units else 'false'}",
-        "",
-        "[noise]",
-        f"kind = {config.noise.kind}",
-        f"width = {_format_float(config.noise.width)}",
-        "",
-        "[state]",
-        f"kind = {config.state_kind}",
-        f"label = {config.label}",
-        f"pulse_target = {config.pulse.target}",
-        f"pulse_axis = {config.pulse.axis}",
-        f"pulse_angle = {_format_float(config.pulse.angle)}",
-        "",
-        "[grid]",
-        f"t_max = {_format_float(config.grid.t_max)}",
-        f"n_points = {config.grid.n_points}",
-        "",
-        "[ensemble]",
-        f"n_realizations = {config.n_realizations}",
-        f"seed = {config.seed}",
-        "",
-        "[run]",
-        f"hamiltonian = {config.hamiltonian}",
-        f"observable = {'total' if config.observable.kind == 'total' else f'single:{config.observable.index}'}",
-    ]
-    if config.output is not None:
-        lines.append(f"output = {config.output}")
-    lines.append("")
-    return "\n".join(lines)
+    """Render a config with every field explicit, an unset output left out; inverse of parse_config."""
+    return _document(config, _KEYS)
 
 
 def config_hash(config: RunConfig) -> str:
     """Stable digest of the full configuration (output path excluded)."""
-    canonical = serialize_config(replace(config, output=None))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_document(config, _HASHED_KEYS).encode("utf-8")).hexdigest()

@@ -370,6 +370,14 @@ def _phase_sum(noise: NoiseModel, grid: TimeGrid, n_realizations: int, seed: int
     return chi
 
 
+def _check_run(hamiltonian: str = "effective", n_realizations: int = 1) -> None:
+    """Refuse an unknown Hamiltonian kind or fewer than one realization; RunConfig refuses them here too."""
+    if hamiltonian not in HAMILTONIAN_KINDS:
+        raise ValueError(f"hamiltonian must be one of {HAMILTONIAN_KINDS}, got {hamiltonian!r}")
+    if n_realizations < 1:
+        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
+
+
 def zero_noise_signal(
     spec: SpinSystemSpec,
     initial: DensityMatrix,
@@ -388,8 +396,7 @@ def zero_noise_signal(
     """
     if initial.dim != spec.dim:
         raise ValueError(f"state dimension {initial.dim} does not match spec dimension {spec.dim}")
-    if hamiltonian not in HAMILTONIAN_KINDS:
-        raise ValueError(f"hamiltonian must be one of {HAMILTONIAN_KINDS}, got {hamiltonian!r}")
+    _check_run(hamiltonian)
     observable = observable if observable is not None else ObservableSpec.single(spec.n_spins - 1)
     obs = observable.ladder_matrix(spec.n_spins)
     build = build_effective if hamiltonian == "effective" else build_rotating_heisenberg
@@ -426,8 +433,7 @@ def evolve_fid(
     limit.  A call on the same (noise, grid, n_realizations, seed) as the
     call before reuses that call's phase sum, with the same result bytes.
     """
-    if n_realizations < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
+    _check_run(n_realizations=n_realizations)
     bins = _bin_count(grid.n_points)
     # From 2**53 bins on, a draw of typical size has a phase position with no fraction of a bin.
     if noise.width_rad * (grid.dt * bins / math.tau) >= 2.0**53:

@@ -32,7 +32,7 @@ from .analytic import (
     fid_thermal,
     residual_ratio_analytic,
 )
-from .config import RunConfig, config_hash, parse_config
+from .config import _KEYS, RunConfig, config_hash, parse_config
 from .csvio import ORACLE_PREFIX, ORACLE_SUFFIX, emit_trace_csv, write_csv
 from .engine import DEFAULT_SEED, FidTrace, _resolve_workers, evolve_fid, residual_ratio
 from .noise import NOISE_KINDS
@@ -196,8 +196,7 @@ def preset_config(
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     keys = _PRESET_KEYS[name]
-    sections = ("system", "noise", "state", "grid", "ensemble", "run")
-    config = parse_config("".join(f"[{section}]\n{keys.get(section, '')}\n" for section in sections))
+    config = parse_config("".join(f"[{section}]\n{keys.get(section, '')}\n" for section in _KEYS))
     if n_realizations is None:
         n_realizations = config.n_realizations
     return replace(config, seed=seed, n_realizations=n_realizations, output=output)
@@ -297,8 +296,8 @@ def sweep_residuals(
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("need a non-empty 1-d list of sweep values")
-    if np.any(values < 0.0):
-        raise ValueError(f"swept {param!r} values must be non-negative")
+    if not np.all((values >= 0.0) & (values < np.inf)):
+        raise ValueError(f"swept {param!r} values must be finite and non-negative")
     initial = build_initial_state(base)
     baseline = _simulate(_with_param(base, param, 0.0), initial)
     analytic = param == "m" and "perturbative" in matching_oracles(base)

@@ -71,13 +71,17 @@ def parse_label(label: str, n_spins: int) -> int:
     return int(label, 2)
 
 
+def _pps_index(spec: SpinSystemSpec, label: str) -> int:
+    """Basis index of ``label``, once ``spec`` and ``label`` pass every check of ``pps_state``."""
+    if not 0.0 < spec.polarization <= 1.0:
+        raise ValueError(f"pseudo-pure polarization must lie in (0, 1], got {spec.polarization!r}")
+    return parse_label(label, spec.n_spins)
+
+
 def pps_state(spec: SpinSystemSpec, label: str = STOCK_LABEL) -> DensityMatrix:
     """Pseudo-pure state (1-p)/2^n I + p |label><label|, p in (0, 1]."""
-    p = spec.polarization
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"pseudo-pure polarization must lie in (0, 1], got {p!r}")
-    dim = spec.dim
-    index = parse_label(label, spec.n_spins)
+    index = _pps_index(spec, label)
+    p, dim = spec.polarization, spec.dim
     rho = (1.0 - p) / dim * np.eye(dim, dtype=complex)
     rho[index, index] += p
     return DensityMatrix(rho)

@@ -208,6 +208,16 @@ class TestSimulate:
         assert outputs[1].seed == 4
         assert not np.array_equal(outputs[0].mx, outputs[1].mx)
 
+    def test_pps_config_that_cannot_run_is_refused_when_read(self, tmp_path):
+        # pps_state needs a polarization in (0, 1]; the config reader applies that rule before any run.
+        ini = tmp_path / "bad.ini"
+        ini.write_text(SMALL_INI.replace("polarization = 1.0", "polarization = -0.5") + "[run]\noutput = trace.csv\n")
+        result = run_cli("simulate", str(ini), cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.startswith("config error:")
+        assert "pseudo-pure polarization" in result.stderr
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.ini"]
+
     def test_invalid_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[system]\nmagnification = -2\n")

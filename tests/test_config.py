@@ -6,11 +6,13 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spinfid import ObservableSpec
+from spinfid import NoiseModel, ObservableSpec, PulseSpec, SpinSystemSpec, TimeGrid
 from spinfid.config import (
     ConfigError,
+    RunConfig,
     parse_config,
     parse_config_file,
     serialize_config,
@@ -152,6 +154,11 @@ class TestRejection:
             (with_key("state", "kind = bell"), "kind"),
             (with_key("state", "kind = pps\nlabel = 10"), "label"),
             (with_key("state", "kind = pps\nlabel = 1a1"), "label"),
+            # pps_state's own rule, met when the document is read rather than when the run starts
+            (with_key("state", "kind = pps").replace("[system]\n", "[system]\npolarization = -0.5\n"),
+             r"pseudo-pure polarization must lie in \(0, 1\]"),
+            (with_key("state", "kind = pps").replace("[system]\n", "[system]\npolarization = 0\n"),
+             r"pseudo-pure polarization must lie in \(0, 1\]"),
             (with_key("grid", "t_max = 0"), "t_max"),
             (with_key("grid", "n_points = 1"), "n_points"),
             (with_key("ensemble", "seed = 18446744073709551616"), "seed"),
@@ -219,6 +226,70 @@ class TestRoundTrip:
     def test_config_round_trips(self, cfg):
         assert parse_config(serialize_config(cfg)) == cfg
 
+    # Every formatter path: a negative zero, an empty list, booleans, a pps
+    # label, a total readout, an output path and the largest seed.
+    EXACT = RunConfig(
+        system=SpinSystemSpec(n_spins=1, delta=(-0.0,), j=(), polarization=0.5, angular_units=True),
+        noise=NoiseModel("gaussian", 3.5, angular_units=True),
+        state_kind="pps",
+        label="1",
+        pulse=PulseSpec(0, "x", 1.25),
+        grid=TimeGrid(0.5, 11),
+        n_realizations=7,
+        seed=2**64 - 1,
+        hamiltonian="heisenberg",
+        observable=ObservableSpec.total(),
+        output="runs/one.csv",
+    )
+    EXACT_DOCUMENT = """\
+[system]
+n_spins = 1
+delta = -0.0
+j =
+polarization = 0.5
+magnification = 1.0
+angular_units = true
+
+[noise]
+kind = gaussian
+width = 3.5
+
+[state]
+kind = pps
+label = 1
+pulse_target = 0
+pulse_axis = x
+pulse_angle = 1.25
+
+[grid]
+t_max = 0.5
+n_points = 11
+
+[ensemble]
+n_realizations = 7
+seed = 18446744073709551615
+
+[run]
+hamiltonian = heisenberg
+observable = total
+output = runs/one.csv
+"""
+
+    def test_exact_document_bytes(self):
+        assert serialize_config(self.EXACT) == self.EXACT_DOCUMENT
+        assert parse_config(self.EXACT_DOCUMENT) == self.EXACT
+
+    def test_numpy_scalar_fields_write_the_same_bytes(self):
+        # Each value is written by the reader of its key, not by its Python type.
+        cfg = self.EXACT
+        numpy_fields = replace(
+            cfg,
+            system=replace(cfg.system, polarization=np.float64(0.5), angular_units=np.bool_(True)),
+            noise=replace(cfg.noise, angular_units=np.bool_(True)),
+            grid=replace(cfg.grid, n_points=np.int64(11)),
+        )
+        assert serialize_config(numpy_fields) == self.EXACT_DOCUMENT
+
     def test_parse_config_file(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text(serialize_config(preset_config("fig2-thermal")))
@@ -242,18 +313,50 @@ class TestConfigHash:
         assert config_hash(carrier) == config_hash(parse_config(MINIMAL))
         assert "omega0" not in serialize_config(carrier)
 
+    @staticmethod
+    def document(keys: dict[str, str]) -> str:
+        """MINIMAL with a [run] section, plus the given lines by section."""
+        doc = MINIMAL + "[run]\n"
+        for section, lines in keys.items():
+            doc = doc.replace(f"[{section}]\n", f"[{section}]\n{lines}\n")
+        return doc
+
+    # One variant per key that sets a hashed field, each changing that field
+    # alone where it can, so a field the serializer leaves out keeps the
+    # base's hash.  n_spins cannot change without delta and j.
     @pytest.mark.parametrize(
-        "variant",
+        "base, keys",
         [
-            with_key("system", "magnification = 2"),
-            with_key("noise", "width = 29"),
-            with_key("state", "kind = pps"),
-            with_key("grid", "n_points = 241"),
-            with_key("ensemble", "seed = 7"),
+            ({}, {"system": "n_spins = 2\ndelta = 0, -1393\nj = -130"}),
+            ({}, {"system": "delta = 0, -1393, 1028"}),
+            ({}, {"system": "j = -130, 69, 51"}),
+            ({}, {"system": "polarization = 0.5"}),
+            ({}, {"system": "magnification = 2"}),
+            ({}, {"system": "angular_units = true"}),
+            ({}, {"noise": "kind = gaussian"}),
+            ({}, {"noise": "width = 29"}),
+            # at a polarization both state kinds accept
+            ({"system": "polarization = 1"}, {"system": "polarization = 1", "state": "kind = pps"}),
+            # a label only a pps state reads
+            ({"state": "kind = pps"}, {"state": "kind = pps\nlabel = 011"}),
+            ({}, {"state": "pulse_target = 0", "run": "observable = single:2"}),
+            ({}, {"state": "pulse_axis = x"}),
+            ({}, {"state": "pulse_angle = 1"}),
+            ({}, {"grid": "t_max = 0.025"}),
+            ({}, {"grid": "n_points = 241"}),
+            ({}, {"ensemble": "n_realizations = 99"}),
+            ({}, {"ensemble": "seed = 7"}),
+            ({}, {"run": "hamiltonian = heisenberg"}),
+            ({}, {"run": "observable = total"}),
+        ],
+        ids=[
+            "n_spins", "delta", "j", "polarization", "magnification", "angular_units", "noise-kind", "width",
+            "state-kind", "label", "pulse_target", "pulse_axis", "pulse_angle", "t_max", "n_points",
+            "n_realizations", "seed", "hamiltonian", "observable",
         ],
     )
-    def test_hash_tracks_physical_fields(self, variant):
-        assert config_hash(parse_config(variant)) != config_hash(parse_config(MINIMAL))
+    def test_hash_tracks_physical_fields(self, base, keys):
+        assert config_hash(parse_config(self.document(keys))) != config_hash(parse_config(self.document(base)))
 
 
 class TestPresets:

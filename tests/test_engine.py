@@ -45,6 +45,7 @@ from spinfid import (
     thermal_state,
     zero_noise_signal,
 )
+from spinfid.cli import main as cli_main
 from spinfid.csvio import TableData, load_csv
 
 try:
@@ -707,6 +708,28 @@ class TestSweepRuns:
             run_experiment(base)
         with pytest.raises(NumericInvariantError, match="non-finite"):
             sweep_residuals(base, np.array([1.0]))
+
+    @staticmethod
+    def forbid_runs(monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a sweep value was refused only after a run")
+
+        monkeypatch.setattr(spinfid.experiments, "evolve_fid", no_run)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_sweep_value_is_refused_before_any_run(self, monkeypatch, bad):
+        self.forbid_runs(monkeypatch)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            sweep_residuals(preset_config("fig4b"), np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("values", ["1,nan", "1,inf", "1,,2", "1,"])
+    def test_cli_refuses_blank_and_non_finite_values_before_any_run(self, tmp_path, monkeypatch, capsys, values):
+        # --values is read by the config's comma-separated number reader.
+        self.forbid_runs(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["sweep", "--preset", "fig4b", "--param", "m", "--values", values]) == 2
+        assert capsys.readouterr().err.startswith("config error: --values")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOperatorReuse:
